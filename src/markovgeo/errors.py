@@ -34,7 +34,7 @@ class ParseError(MarkovGeoError):
 
 
 class NoConvergence(MarkovGeoError):
-    """Eigenvalue iteration budget exhausted."""
+    """The eigensolver failed or returned no strictly positive Perron vector."""
 
 
 class NonpositiveScale(MarkovGeoError):

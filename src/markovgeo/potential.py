@@ -45,27 +45,25 @@ def phibar_hessian(eta: ExpectationPoint) -> np.ndarray:
     1e-10 of the largest entry indicates an assembly bug and raises.
     """
     g = eta.graph
-    n = g.num_edges
-    v = eta.values
     eta_in = in_marginals(eta)
     eta_out = out_marginals(eta)
-    h = np.zeros((n, n))
-    for i, (s, t) in enumerate(g.edges):
-        for j, (u, w) in enumerate(g.edges):
-            entry = 0.0
-            if i == j:
-                entry += 1.0 / v[i]
-            if s == w:
-                entry -= 1.0 / eta_in[s]
-            if t == u:
-                entry -= 1.0 / eta_in[t]
-            if t == w:
-                entry += eta_out[t] / eta_in[t] ** 2
-            h[i, j] = entry
-    asymmetry = np.max(np.abs(h - h.T))
-    if asymmetry > 1e-10 * max(np.max(np.abs(h)), 1.0):
+    # the kron terms are nonzero only on blocks that share a state x:
+    # (out_edges[x], in_edges[x]) and its transpose for kron(s,v) and kron(t,u),
+    # (in_edges[x], in_edges[x]) for kron(t,v)
+    h = np.diag(1.0 / eta.values)
+    for x in range(g.num_states):
+        out_x, in_x = g.out_edges[x], g.in_edges[x]
+        h[np.ix_(out_x, in_x)] -= 1.0 / eta_in[x]
+        h[np.ix_(in_x, out_x)] -= 1.0 / eta_in[x]
+        h[np.ix_(in_x, in_x)] += eta_out[x] / eta_in[x] ** 2
+    # one E x E buffer holds |h - h^T| for the check, then the symmetrized result
+    out = np.subtract(h, h.T)
+    asymmetry = np.abs(out, out=out).max()
+    if asymmetry > 1e-10 * max(h.max(), -h.min(), 1.0):
         raise RuntimeError(f"Hessian assembly asymmetry {asymmetry}")
-    return 0.5 * (h + h.T)
+    np.add(h, h.T, out=out)
+    out *= 0.5
+    return out
 
 
 def restricted_hessian(eta: ExpectationPoint, eliminated_edge=None, tol: float = 1e-9) -> np.ndarray:

@@ -3,9 +3,11 @@
 For a positive function f on the edge set, the weight matrix A(f) is
 irreducible (the graph is strongly connected), so it has a simple dominant
 positive eigenvalue r(f) with positive left/right eigenvectors. The solver is
-power iteration on the shifted matrix A + cI with c = 1 + max diagonal entry;
-the positive diagonal makes the shifted matrix primitive, so the iteration
-converges even for periodic structures such as a pure cycle.
+a dense eigendecomposition (``numpy.linalg.eig``) of A(f) and of its transpose.
+No other eigenvalue of a nonnegative irreducible matrix has real part as large
+as r(f), periodic structures such as a pure cycle included, so the root is the
+eigenvalue of largest real part. Each EdgeFunction stores its spectral data
+the first time it is computed, so later calls on the same object reuse it.
 """
 
 from __future__ import annotations
@@ -19,9 +21,6 @@ from .graph import ChainGraph
 
 __all__ = ["EdgeFunction", "SpectralData", "matrix_of", "perron", "root_derivative", "scale"]
 
-_POWER_TOL = 1e-14
-_POWER_BUDGET = 10**6
-
 
 @dataclass(frozen=True)
 class EdgeFunction:
@@ -30,14 +29,20 @@ class EdgeFunction:
     Strictly positive unless boundary=True (row-normalized count estimates may
     sit on the boundary of the positive cone; such objects are rejected by
     every spectral or divergence operation).
+
+    The values are copied at construction and the copy is read-only, so the
+    object never changes. Its spectral data is therefore computed once: the
+    first perron(f) stores it on f and later calls return the same object.
     """
 
     graph: ChainGraph
     values: np.ndarray
     boundary: bool = False
+    _spectral: SpectralData | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        values = np.asarray(self.values, dtype=float)
+        values = np.array(self.values, dtype=float)
+        values.flags.writeable = False
         object.__setattr__(self, "values", values)
         if values.shape != (self.graph.num_edges,):
             raise ValueError(f"expected {self.graph.num_edges} values, got shape {values.shape}")
@@ -53,7 +58,11 @@ class EdgeFunction:
 
 @dataclass(frozen=True)
 class SpectralData:
-    """Perron-Frobenius root with left/right eigenvectors normalized to sum 1."""
+    """Perron-Frobenius root with left/right eigenvectors normalized to sum 1.
+
+    The eigenvectors are read-only: the data is shared by every caller of
+    perron on the same edge function.
+    """
 
     root: float
     left_vec: np.ndarray = field(repr=False)
@@ -81,32 +90,30 @@ def matrix_of(f: EdgeFunction) -> np.ndarray:
     return a
 
 
-def _power_iterate(matrix):
-    """Dominant eigenvalue/eigenvector of a primitive nonnegative matrix."""
-    n = matrix.shape[0]
-    vec = np.full(n, 1.0 / n)
-    for _ in range(_POWER_BUDGET):
-        nxt = matrix @ vec
-        nxt /= nxt.sum()
-        if np.max(np.abs(nxt - vec)) < _POWER_TOL:
-            vec = nxt
-            break
-        vec = nxt
-    else:
-        raise NoConvergence("power iteration budget exhausted")
-    # vec sums to 1, so the eigenvalue is the total mass of matrix @ vec
-    return float((matrix @ vec).sum()), vec
+def _dominant_eigenvector(matrix):
+    """Eigenvalue of largest real part and its eigenvector, scaled to sum 1."""
+    try:
+        eigenvalues, vectors = np.linalg.eig(matrix)
+    except np.linalg.LinAlgError as exc:
+        raise NoConvergence(f"eigensolver failed: {exc}") from exc
+    k = int(np.argmax(eigenvalues.real))
+    vec = vectors[:, k].real
+    vec = vec / vec.sum()
+    if not np.all(vec > 0):
+        raise NoConvergence("dominant eigenvector is not strictly positive")
+    vec.flags.writeable = False
+    return float(eigenvalues[k].real), vec
 
 
 def perron(f: EdgeFunction) -> SpectralData:
-    """Perron-Frobenius root and positive eigenvectors of A(f)."""
+    """Perron-Frobenius root and positive eigenvectors of A(f), computed once per f."""
     _require_interior(f)
-    a = matrix_of(f)
-    shift = 1.0 + float(a.diagonal().max())
-    shifted = a + shift * np.eye(a.shape[0])
-    root_shifted, right = _power_iterate(shifted)
-    _, left = _power_iterate(shifted.T)
-    return SpectralData(root=root_shifted - shift, left_vec=left, right_vec=right)
+    if f._spectral is None:
+        a = matrix_of(f)
+        root, right = _dominant_eigenvector(a)
+        _, left = _dominant_eigenvector(a.T)
+        object.__setattr__(f, "_spectral", SpectralData(root=root, left_vec=left, right_vec=right))
+    return f._spectral
 
 
 def root_derivative(f: EdgeFunction, edge: tuple[int, int]) -> float:

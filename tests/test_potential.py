@@ -7,6 +7,7 @@ from markovgeo import (
     EdgeFunction,
     ExpectationPoint,
     bregman_divergence,
+    build_graph,
     perron,
     phibar,
     phibar_gradient,
@@ -51,6 +52,29 @@ def printed_hessian_3x3(eta):
             [1 / e11 - 1 / (in0 * in1) + q, 1 / e11 - 1 / (in0 * in1), 1 / e11 + 1 / e10 + q],
         ]
     )
+
+
+def loop_hessian(eta):
+    """Reference: the Hessian entry by entry, in a double loop over edge pairs."""
+    g = eta.graph
+    n = g.num_edges
+    v = eta.values
+    eta_in = in_marginals(eta)
+    eta_out = out_marginals(eta)
+    h = np.zeros((n, n))
+    for i, (s, t) in enumerate(g.edges):
+        for j, (u, w) in enumerate(g.edges):
+            entry = 0.0
+            if i == j:
+                entry += 1.0 / v[i]
+            if s == w:
+                entry -= 1.0 / eta_in[s]
+            if t == u:
+                entry -= 1.0 / eta_in[t]
+            if t == w:
+                entry += eta_out[t] / eta_in[t] ** 2
+            h[i, j] = entry
+    return 0.5 * (h + h.T)
 
 
 def random_mass_one_point(graph, rng):
@@ -125,6 +149,20 @@ class TestHessian:
             np.testing.assert_allclose(
                 phibar_hessian(eta), printed_hessian_4x4(eta.values), rtol=1e-12, atol=1e-12
             )
+
+    @pytest.mark.parametrize("self_loops", [True, False])
+    def test_matches_loop_reference(self, self_loops):
+        rng = make_rng(77 if self_loops else 78)
+        for _ in range(20):
+            g = random_graph(int(rng.integers(1, 9)), rng)
+            n = g.num_states
+            if self_loops:
+                edges = set(g.edges) | {(x, x) for x in range(n)}
+            else:
+                edges = {(x, y) for x, y in g.edges if x != y}
+            g = build_graph(n, sorted(edges))
+            eta = random_expectation_point(g, rng)
+            np.testing.assert_allclose(phibar_hessian(eta), loop_hessian(eta), rtol=1e-12, atol=0)
 
     def test_kernel_is_radial(self):
         rng = make_rng(67)

@@ -3,8 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from markovgeo import EdgeFunction, matrix_of, perron, root_derivative, scale
-from markovgeo.errors import BoundaryFunction, NonpositiveScale
+from markovgeo import EdgeFunction, build_graph, matrix_of, perron, root_derivative, scale
+from markovgeo.cli import EXIT_NOCONV, main
+from markovgeo.errors import BoundaryFunction, NoConvergence, NonpositiveScale
 from markovgeo.spectral import root_gradient
 from markovgeo.verify import random_edge_function, random_graph, random_transition_probability
 
@@ -74,6 +75,74 @@ class TestPerron:
     def test_periodic_two_cycle_converges(self, two_cycle):
         sd = perron(EdgeFunction(two_cycle, np.array([4.0, 9.0])))
         assert sd.root == pytest.approx(6.0, abs=1e-10)
+
+    def test_ring_with_long_chord(self):
+        # a slow-mixing shape: a 121-state ring plus one chord skipping 0.3 n
+        # states, weighted so that both cycles have weight product 1
+        n, chord, skip = 121, 17, 36
+        g = build_graph(n, [(x, (x + 1) % n) for x in range(n)] + [(chord, (chord + skip) % n)])
+        z = 0.3 * make_rng(29).standard_normal(n)
+        z -= z.mean()
+        logw = {(x, (x + 1) % n): z[x] for x in range(n)}
+        logw[(chord, (chord + skip) % n)] = -sum(z[(chord + skip + j) % n] for j in range(n - skip))
+        f = EdgeFunction(g, np.exp([logw[e] for e in g.edges]))
+        sd = perron(f)
+        a = matrix_of(f)
+        assert np.max(np.abs(sd.left_vec @ a - sd.root * sd.left_vec)) <= 1e-10 * sd.root
+        assert np.max(np.abs(a @ sd.right_vec - sd.root * sd.right_vec)) <= 1e-10 * sd.root
+        assert np.all(sd.left_vec > 0) and np.all(sd.right_vec > 0)
+        assert sd.left_vec.sum() == pytest.approx(1.0, abs=1e-12)
+        assert sd.right_vec.sum() == pytest.approx(1.0, abs=1e-12)
+
+
+class TestStoredSpectralData:
+    def test_computed_once_per_object(self, two_state):
+        f = EdgeFunction(two_state, np.array([1.0, 2.0, 3.0, 4.0]))
+        assert perron(f) is perron(f)
+
+    def test_caller_array_is_copied(self, two_state):
+        arr = np.array([1.0, 2.0, 3.0, 4.0])
+        f = EdgeFunction(two_state, arr)
+        root = perron(f).root
+        arr[:] = 10.0
+        np.testing.assert_array_equal(f.values, [1.0, 2.0, 3.0, 4.0])
+        assert perron(f).root == root
+        assert perron(EdgeFunction(two_state, arr)).root == pytest.approx(20.0, abs=1e-12)
+
+    def test_values_and_eigenvectors_read_only(self, two_state):
+        f = EdgeFunction(two_state, np.array([1.0, 2.0, 3.0, 4.0]))
+        sd = perron(f)
+        for array in (f.values, sd.left_vec, sd.right_vec):
+            with pytest.raises(ValueError):
+                array[0] = 0.5
+            with pytest.raises(ValueError):
+                array *= 2.0
+
+
+class TestSolverFailure:
+    @staticmethod
+    def _failing_eig(matrix):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    def test_linalg_error_is_no_convergence(self, monkeypatch, two_state):
+        monkeypatch.setattr(np.linalg, "eig", self._failing_eig)
+        with pytest.raises(NoConvergence):
+            perron(EdgeFunction(two_state, np.ones(4)))
+
+    def test_mixed_sign_vector_is_no_convergence(self, monkeypatch, two_state):
+        def mixed_sign_eig(matrix):
+            return np.array([2.0, 0.0]), np.array([[1.0, 1.0], [-0.5, -1.0]])
+
+        monkeypatch.setattr(np.linalg, "eig", mixed_sign_eig)
+        with pytest.raises(NoConvergence):
+            perron(EdgeFunction(two_state, np.ones(4)))
+
+    def test_cli_exit_code(self, monkeypatch, tmp_path, capsys):
+        path = tmp_path / "f.chain"
+        path.write_text("states 2\nedge 0 0 1\nedge 0 1 2\nedge 1 0 3\nedge 1 1 4\n")
+        monkeypatch.setattr(np.linalg, "eig", self._failing_eig)
+        assert main(["divergence", str(path), str(path)]) == EXIT_NOCONV
+        assert "eigensolver failed" in capsys.readouterr().err
 
 
 class TestRootDerivative:

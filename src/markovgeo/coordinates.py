@@ -31,6 +31,7 @@ __all__ = [
     "normalize_to_measure",
     "is_in_M",
     "is_in_Mtilde",
+    "scale_point",
 ]
 
 DEFAULT_TOL = 1e-9
@@ -38,17 +39,24 @@ DEFAULT_TOL = 1e-9
 
 @dataclass(frozen=True)
 class ExpectationPoint:
-    """A positive point in expectation coordinates, canonical edge order."""
+    """A positive point in expectation coordinates, canonical edge order.
+
+    As for EdgeFunction, the values are copied at construction and the copy
+    is read-only, so the point never changes.
+    """
 
     graph: ChainGraph
     values: np.ndarray
 
     def __post_init__(self):
-        values = np.asarray(self.values, dtype=float)
+        values = np.array(self.values, dtype=float)
+        values.flags.writeable = False
         object.__setattr__(self, "values", values)
         if values.shape != (self.graph.num_edges,):
             raise ValueError(f"expected {self.graph.num_edges} values, got shape {values.shape}")
-        if np.any(values <= 0) or not np.all(np.isfinite(values)):
+        # two reductions, false on NaN too: project_to_M builds hundreds of
+        # points per call, and np.any/np.all cost several times as much
+        if not (values.min() > 0 and values.max() < np.inf):
             raise ValueError("expectation coordinates must be strictly positive and finite")
 
 
@@ -132,6 +140,3 @@ def scale_point(eta: ExpectationPoint, a: float) -> ExpectationPoint:
     if not a > 0:
         raise ValueError(f"scale factor must be positive, got {a}")
     return ExpectationPoint(eta.graph, a * eta.values)
-
-
-__all__.append("scale_point")

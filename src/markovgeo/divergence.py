@@ -162,14 +162,6 @@ def bregman_divergence(eta: ExpectationPoint, zeta: ExpectationPoint) -> float:
     return _clamp(value)
 
 
-def _normalized_coordinate_jacobian(f: EdgeFunction, spectral) -> np.ndarray:
-    """Jacobian of a |-> a / r(a) at f: rows indexed by (x, y), columns by (s, t)."""
-    n = f.graph.num_edges
-    r = spectral.root
-    dr = root_gradient(f, spectral)
-    return (r * np.eye(n) - np.outer(f.values, dr)) / r**2
-
-
 def _tensor_weights(f: EdgeFunction, spectral) -> np.ndarray:
     # second derivative of F(u) through the normalized ratio u contributes the
     # chain factor (r / f_xy)^2 on top of the pair-measure weight mu_f(x) f_xy
@@ -180,7 +172,9 @@ def induced_tensor(gen: StandardConvexFunction, f: EdgeFunction, x_vec, y_vec) -
     """Symmetric bilinear form induced on tangent vectors at f.
 
     The value is generator independent: the second-derivative normalization at
-    t = 1 makes every admissible generator induce the same tensor.
+    t = 1 makes every admissible generator induce the same tensor. It is
+    (J x) . W (J y), where J x = (r x - f (grad r . x)) / r^2 is the Jacobian
+    of a |-> a / r(a) at f and W the diagonal of tensor weights.
     """
     x_vec = np.asarray(x_vec, dtype=float)
     y_vec = np.asarray(y_vec, dtype=float)
@@ -188,20 +182,106 @@ def induced_tensor(gen: StandardConvexFunction, f: EdgeFunction, x_vec, y_vec) -
         raise GraphMismatch("tangent vectors must be edge-indexed on the same graph")
     del gen
     sd = perron(f)
-    jac = _normalized_coordinate_jacobian(f, sd)
-    weights = _tensor_weights(f, sd)
-    return float((jac @ x_vec) @ (weights * (jac @ y_vec)))
+    r = sd.root
+    dr = root_gradient(f, sd)
+
+    def jac(vec):
+        return (r * vec - f.values * (dr @ vec)) / r**2
+
+    return float(jac(x_vec) @ (_tensor_weights(f, sd) * jac(y_vec)))
 
 
 def induced_tensor_gram(gen: StandardConvexFunction, f: EdgeFunction) -> np.ndarray:
-    """Gram matrix of the induced tensor in the coordinate basis."""
+    """Gram matrix of the induced tensor in the coordinate basis.
+
+    With P = r I - f grad_r^T it is r^-4 P^T W P, a diagonal plus a rank-2
+    term: r^-4 [r^2 W - r (a grad_r^T + grad_r a^T) + c grad_r grad_r^T], with
+    a = W f and c = f . W f. It is built in O(E^2) as diag(w / r^2) plus the
+    product [g, h] [h, g]^T of two E x 2 factors, with g = grad_r / r^2 and
+    h = c g / 2 - a / r.
+    """
     del gen
     sd = perron(f)
-    jac = _normalized_coordinate_jacobian(f, sd)
-    return jac.T @ (_tensor_weights(f, sd)[:, None] * jac)
+    r = sd.root
+    weights = _tensor_weights(f, sd)
+    a = weights * f.values
+    g = root_gradient(f, sd) / r**2
+    h = 0.5 * float(a @ f.values) * g - a / r
+    gram = np.column_stack((g, h)) @ np.column_stack((h, g)).T
+    gram[np.diag_indices_from(gram)] += weights / r**2
+    return gram
+
+
+def _inertia_counter(r: float, w: np.ndarray, f: np.ndarray, dr: np.ndarray):
+    """t |-> #{eigenvalues of P^T W P at most t}, P = r I - f dr^T, in O(E) per call.
+
+    P^T W P = D + U S U^T with D = r^2 W, U = [a, dr], a = W f, c = f . W f and
+    S = [[0, -r], [-r, c]]. Haynsworth inertia additivity, applied to both
+    Schur complements of [[D - tI, U], [U^T, -S^-1]], gives
+        #{eig < t} = #{d_i < t} + #neg(T) - 1,  T = -S^-1 - U^T (D - tI)^-1 U,
+    where 1 counts the one positive eigenvalue of S (det S = -r^2 < 0).
+
+    T is summed from 1 / (d_i - t) = 1 / d_i + e_i. The 1 / d_i parts cancel
+    -S^-1 in closed form, except for the Euler residual (r - dr . f) / r^2 of
+    the 1-homogeneous root, so no cancellation is left to rounding when t is
+    small. The largest e_p, from the d_p nearest t, is kept out of the sums
+    and enters det T as a rank-1 update, so a t at or next to d_p loses no
+    digits either.
+    """
+    d = r**2 * w
+    a = w * f
+    aa, ag, gg = a * a, a * dr, dr * dr
+    euler = (r - float(dr @ f)) / r**2
+
+    def count(t):
+        # "at most t" is "below the next float"; D - tI must be invertible
+        t = np.nextafter(t, np.inf)
+        while np.any(d == t):
+            t = np.nextafter(t, np.inf)
+        inv = 1.0 / (d - t)
+        excess = t * inv / d  # e_i = 1 / (d_i - t) - 1 / d_i
+        p = int(np.argmax(np.abs(excess)))
+        pole = excess[p]
+        excess[p], inv[p] = 0.0, 1.0 / d[p]
+        # T = R - pole * u_p u_p^T, u_p = (a_p, dr_p)
+        r11 = -float(aa @ excess)
+        r12 = euler - float(ag @ excess)
+        r22 = -float(gg @ inv)
+        det = r11 * r22 - r12 * r12 - pole * (aa[p] * r22 - 2.0 * ag[p] * r12 + gg[p] * r11)
+        trace = r11 + r22 - pole * (aa[p] + gg[p])
+        if det < 0:
+            negative = 1
+        else:
+            negative = (2 if det > 0 else 1) if trace < 0 else 0
+        return int(np.count_nonzero(d < t)) + negative - 1
+
+    return count
 
 
 def null_space_dimension(gen: StandardConvexFunction, f: EdgeFunction, tol: float = 1e-9) -> int:
-    """Number of near-zero eigenvalues of the induced-tensor Gram matrix."""
-    eigenvalues = np.linalg.eigvalsh(induced_tensor_gram(gen, f))
-    return int(np.count_nonzero(np.abs(eigenvalues) <= tol * eigenvalues.max()))
+    """Number of eigenvalues of the induced-tensor Gram matrix at most tol * lambda_max.
+
+    The Gram matrix is r^-4 P^T W P, so its eigenvalues are counted on
+    P^T W P by inertia (see _inertia_counter), without forming any E x E
+    array. lambda_max is the least t at which the count reaches E, found by
+    bisection between the largest diagonal entry and the trace, which bound it
+    for a positive-semidefinite matrix.
+    """
+    del gen
+    sd = perron(f)
+    r = sd.root
+    w = _tensor_weights(f, sd)
+    dr = root_gradient(f, sd)
+    count = _inertia_counter(r, w, f.values, dr)
+    a = w * f.values
+    diagonal = r**2 * w - 2.0 * r * a * dr + float(a @ f.values) * dr * dr
+    lo, hi = float(diagonal.max()), float(diagonal.sum())
+    while count(hi) < f.graph.num_edges:  # rounding can leave the trace below lambda_max
+        hi *= 2.0
+    while hi - lo > 1e-14 * hi:
+        mid = 0.5 * (lo + hi)
+        if count(mid) >= f.graph.num_edges:
+            hi = mid
+        else:
+            lo = mid
+    return count(tol * hi)

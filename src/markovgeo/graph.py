@@ -64,49 +64,39 @@ def _check_edges(num_states, edges):
         seen.add((x, y))
 
 
-def _tarjan_scc_count(num_states, adjacency):
-    """Number of strongly connected components (iterative Tarjan)."""
-    index = [-1] * num_states
-    lowlink = [0] * num_states
-    on_stack = [False] * num_states
-    stack = []
-    counter = 0
-    n_components = 0
+def _reach(num_states, adjacency):
+    """States reachable from state 0 along the given adjacency lists."""
+    reached = [False] * num_states
+    reached[0] = True
+    frontier = [0]
+    while frontier:
+        v = frontier.pop()
+        for u in adjacency[v]:
+            if not reached[u]:
+                reached[u] = True
+                frontier.append(u)
+    return reached
 
-    for root in range(num_states):
-        if index[root] != -1:
-            continue
-        work = [(root, 0)]
-        while work:
-            v, child_pos = work.pop()
-            if child_pos == 0:
-                index[v] = lowlink[v] = counter
-                counter += 1
-                stack.append(v)
-                on_stack[v] = True
-            advanced = False
-            for pos in range(child_pos, len(adjacency[v])):
-                u = adjacency[v][pos]
-                if index[u] == -1:
-                    work.append((v, pos + 1))
-                    work.append((u, 0))
-                    advanced = True
-                    break
-                if on_stack[u]:
-                    lowlink[v] = min(lowlink[v], index[u])
-            if advanced:
-                continue
-            if lowlink[v] == index[v]:
-                n_components += 1
-                while True:
-                    u = stack.pop()
-                    on_stack[u] = False
-                    if u == v:
-                        break
-            if work:
-                parent = work[-1][0]
-                lowlink[parent] = min(lowlink[parent], lowlink[v])
-    return n_components
+
+def _unreachable_pair(num_states, edges):
+    """A pair (x, y) with no directed path x -> y, or None if there is none.
+
+    The graph is strongly connected iff state 0 reaches every state and every
+    state reaches 0, so one search forward and one on the reversed edges
+    decide it: an unreached y gives (0, y), an unreaching x gives (x, 0).
+    """
+    forward = [[] for _ in range(num_states)]
+    backward = [[] for _ in range(num_states)]
+    for x, y in edges:
+        forward[x].append(y)
+        backward[y].append(x)
+    for y, reached in enumerate(_reach(num_states, forward)):
+        if not reached:
+            return (0, y)
+    for x, reached in enumerate(_reach(num_states, backward)):
+        if not reached:
+            return (x, 0)
+    return None
 
 
 def strongly_connected(num_states: int, edges) -> bool:
@@ -114,31 +104,7 @@ def strongly_connected(num_states: int, edges) -> bool:
     for x, y in edges:
         if not (0 <= x < num_states and 0 <= y < num_states):
             raise OutOfRangeState(f"edge ({x}, {y}) outside state range [0, {num_states})")
-    adjacency = [[] for _ in range(num_states)]
-    for x, y in set((x, y) for x, y in edges):
-        adjacency[x].append(y)
-    return _tarjan_scc_count(num_states, adjacency) == 1
-
-
-def _connectivity_witness(num_states, edges):
-    """A pair (x, y) with no directed path x -> y, found by BFS from each state."""
-    adjacency = [[] for _ in range(num_states)]
-    for x, y in edges:
-        adjacency[x].append(y)
-    for start in range(num_states):
-        reached = [False] * num_states
-        reached[start] = True
-        frontier = [start]
-        while frontier:
-            v = frontier.pop()
-            for u in adjacency[v]:
-                if not reached[u]:
-                    reached[u] = True
-                    frontier.append(u)
-        for target in range(num_states):
-            if not reached[target]:
-                return (start, target)
-    return None
+    return num_states > 0 and _unreachable_pair(num_states, edges) is None
 
 
 def build_graph(num_states: int, edges) -> ChainGraph:
@@ -147,8 +113,9 @@ def build_graph(num_states: int, edges) -> ChainGraph:
         raise TooFewStates(f"need at least 2 states, got {num_states}")
     edges = [(int(x), int(y)) for x, y in edges]
     _check_edges(num_states, edges)
-    if not strongly_connected(num_states, edges):
-        raise NotStronglyConnected(_connectivity_witness(num_states, edges))
+    witness = _unreachable_pair(num_states, edges)
+    if witness is not None:
+        raise NotStronglyConnected(witness)
 
     ordered = tuple(sorted(edges))
     edge_index = {edge: k for k, edge in enumerate(ordered)}

@@ -43,6 +43,7 @@ __all__ = [
     "project_to_M",
     "ProjectionTrace",
     "goodness_of_fit_statistic",
+    "stationarity_gap",
 ]
 
 
@@ -269,6 +270,3 @@ def goodness_of_fit_statistic(
 def stationarity_gap(eta: ExpectationPoint) -> float:
     """Max absolute difference between outgoing and incoming marginals."""
     return float(np.max(np.abs(out_marginals(eta) - in_marginals(eta))))
-
-
-__all__.append("stationarity_gap")

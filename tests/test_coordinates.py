@@ -35,6 +35,26 @@ def uniform_point(two_state):
     return ExpectationPoint(two_state, np.full(4, 0.25))
 
 
+class TestExpectationPointValue:
+    def test_caller_array_is_copied(self, two_state):
+        arr = np.array([0.1, 0.2, 0.3, 0.4])
+        eta = ExpectationPoint(two_state, arr)
+        arr[:] = 0.25
+        np.testing.assert_array_equal(eta.values, [0.1, 0.2, 0.3, 0.4])
+        assert in_marginal(eta, 0) == pytest.approx(0.4, abs=1e-15)
+
+    @pytest.mark.parametrize("bad", [0.0, -0.1, np.nan, np.inf, -np.inf])
+    def test_rejects_nonpositive_or_nonfinite(self, two_state, bad):
+        with pytest.raises(ValueError):
+            ExpectationPoint(two_state, np.array([0.25, bad, 0.25, 0.25]))
+
+    def test_values_read_only(self, uniform_point):
+        with pytest.raises(ValueError):
+            uniform_point.values[0] = 0.5
+        with pytest.raises(ValueError):
+            uniform_point.values *= 2.0
+
+
 class TestMass:
     def test_uniform(self, uniform_point):
         assert mass(uniform_point) == pytest.approx(1.0, abs=1e-15)

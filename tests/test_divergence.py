@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -21,8 +22,10 @@ from markovgeo import (
     scale_point,
     tbar,
 )
+from markovgeo.divergence import _inertia_counter
 from markovgeo.errors import GeneratorInvalid, GraphMismatch, NotTransitionProbability
 from markovgeo.graph import build_graph
+from markovgeo.spectral import root_gradient
 from markovgeo.verify import random_edge_function, random_graph, random_transition_probability
 
 from conftest import make_rng
@@ -305,3 +308,102 @@ class TestNullSpace:
             null_vec = eigenvectors[:, np.argmin(np.abs(eigenvalues))]
             cosine = abs(null_vec @ f.values) / (np.linalg.norm(null_vec) * np.linalg.norm(f.values))
             assert cosine >= 1 - 1e-8
+
+
+def dense_jacobian_reference(f):
+    """Jacobian of a |-> a / r(a) at f as a dense matrix: J = (r I - f grad_r^T) / r^2."""
+    sd = perron(f)
+    r = sd.root
+    return (r * np.eye(f.graph.num_edges) - np.outer(f.values, root_gradient(f, sd))) / r**2
+
+
+def dense_weights_reference(f):
+    sd = perron(f)
+    return sd.left_vec[f.graph.sources] * sd.root**2 / f.values
+
+
+def dense_gram_reference(f):
+    """The Gram matrix as the dense product J^T W J."""
+    jac = dense_jacobian_reference(f)
+    return jac.T @ (dense_weights_reference(f)[:, None] * jac)
+
+
+def dense_null_count_reference(f, tol=1e-9):
+    """Eigenvalues of the dense Gram matrix with |lambda| <= tol * lambda_max, by eigvalsh."""
+    eigenvalues = np.linalg.eigvalsh(dense_gram_reference(f))
+    return int(np.count_nonzero(np.abs(eigenvalues) <= tol * eigenvalues.max()))
+
+
+def _wide_range_function(rng, sigma):
+    g = random_graph(int(rng.integers(9, 20)), rng)
+    return EdgeFunction(g, np.exp(sigma * rng.standard_normal(g.num_edges)))
+
+
+_RNG = make_rng(56)
+DENSE_CASES = [random_edge_function(random_graph(d, _RNG), _RNG) for d in (19, 29, 39)]
+WIDE_RANGE_CASES = [_wide_range_function(_RNG, sigma) for sigma in (4.0, 4.0, 6.0, 6.0, 8.0, 8.0)]
+TWO_STATE_CASES = [
+    random_edge_function(build_graph(2, edges), _RNG)
+    for edges in ([(0, 0), (0, 1), (1, 0), (1, 1)], [(0, 1), (1, 0)], [(0, 0), (0, 1), (1, 0)])
+    for _ in range(3)
+]
+# constant values: every diagonal entry of P^T W P is the same
+CONSTANT_CASE = EdgeFunction(build_graph(3, [(x, y) for x in range(3) for y in range(3)]), np.ones(9))
+STRUCTURED_CASES = DENSE_CASES + WIDE_RANGE_CASES + TWO_STATE_CASES + [CONSTANT_CASE]
+
+
+class TestStructuredTensor:
+    """The diagonal-plus-rank-2 code against the dense Jacobian forms."""
+
+    def test_gram_matches_dense_product(self):
+        for f in STRUCTURED_CASES:
+            dense = dense_gram_reference(f)
+            np.testing.assert_allclose(
+                induced_tensor_gram(KL, f), dense, rtol=0, atol=1e-12 * np.max(np.abs(dense))
+            )
+
+    def test_null_count_matches_dense_eigvalsh(self):
+        for f in STRUCTURED_CASES:
+            for tol in (1e-12, 1e-6, 1e-3, 0.5, 1.0):
+                assert null_space_dimension(KL, f, tol=tol) == dense_null_count_reference(f, tol)
+
+    def test_null_count_above_one_on_wide_range_weights(self):
+        counts = [null_space_dimension(KL, f) for f in WIDE_RANGE_CASES]
+        assert counts == [dense_null_count_reference(f) for f in WIDE_RANGE_CASES]
+        assert max(counts) > 20
+
+    def test_induced_tensor_matches_dense_jacobian(self):
+        rng = make_rng(57)
+        for f in STRUCTURED_CASES:
+            x = rng.standard_normal(f.graph.num_edges)
+            y = rng.standard_normal(f.graph.num_edges)
+            jac = dense_jacobian_reference(f)
+            weights = dense_weights_reference(f)
+            expected = (jac @ x) @ (weights * (jac @ y))
+            scale = np.linalg.norm(np.sqrt(weights) * (jac @ x)) * np.linalg.norm(np.sqrt(weights) * (jac @ y))
+            assert induced_tensor(KL, f, x, y) == pytest.approx(expected, abs=1e-12 * scale)
+
+    def test_count_at_diagonal_entries(self):
+        # thresholds equal to a diagonal entry d_i of P^T W P, where D - tI is
+        # singular; not on constant values, where d_i is itself an 8-fold
+        # eigenvalue and any count at it is rounding
+        for f in TWO_STATE_CASES + DENSE_CASES[:1]:
+            sd = perron(f)
+            r, weights, dr = sd.root, dense_weights_reference(f), root_gradient(f, sd)
+            count = _inertia_counter(r, weights, f.values, dr)
+            p_mat = r * np.eye(f.graph.num_edges) - np.outer(f.values, dr)
+            eigenvalues = np.linalg.eigvalsh(p_mat.T @ (weights[:, None] * p_mat))
+            for t in r**2 * weights:
+                assert count(t) == np.count_nonzero(eigenvalues <= t)
+
+    def test_null_count_allocates_no_edge_square_array(self):
+        f = DENSE_CASES[-1]
+        perron(f)
+        edges = f.graph.num_edges
+        tracemalloc.start()
+        try:
+            assert null_space_dimension(KL, f) == 1
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < edges * edges * 8 / 16

@@ -76,6 +76,29 @@ class TestStronglyConnected:
                 with pytest.raises(NotStronglyConnected):
                     build_graph(n, edges)
 
+    def test_witness_has_no_path(self):
+        # the witness against a brute-force transitive closure
+        rng = make_rng(15)
+        witnesses = 0
+        for _ in range(200):
+            n = int(rng.integers(2, 7))
+            flat = rng.choice(n * n, size=int(rng.integers(1, n * n + 1)), replace=False)
+            edges = [(int(e // n), int(e % n)) for e in flat]
+            reach = np.eye(n, dtype=bool)
+            for x, y in edges:
+                reach[x, y] = True
+            for _ in range(n):
+                reach = reach | ((reach.astype(int) @ reach.astype(int)) > 0)
+            try:
+                build_graph(n, edges)
+            except NotStronglyConnected as exc:
+                x, y = exc.witness
+                assert not reach[x, y]
+                witnesses += 1
+            else:
+                assert reach.all()
+        assert witnesses > 50
+
     def test_reversal_preserves_connectivity(self):
         rng = make_rng(12)
         for _ in range(25):

@@ -100,6 +100,7 @@ def cmd_spectral(args) -> Report:
     report.add("r", sd.root)
     report.add("mu", sd.left_vec)
     report.add("v", sd.right_vec)
+    report.add("bracket_width", sd.bracket_width)
     report.add("status", "ok")
     return report
 

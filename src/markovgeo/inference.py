@@ -71,10 +71,8 @@ class Trajectory:
         return self.states.size
 
 
-def _edge_id_matrix(graph: ChainGraph) -> np.ndarray:
-    ids = np.full((graph.num_states, graph.num_states), -1, dtype=np.intp)
-    ids[graph.sources, graph.targets] = np.arange(graph.num_edges)
-    return ids
+# uniforms drawn per chunk, so the sampler holds no n-length array but its output
+_CHUNK = 1 << 16
 
 
 def sample_trajectory(w: EdgeFunction, n: int, seed: int, initial="stationary") -> Trajectory:
@@ -93,7 +91,11 @@ def sample_trajectory(w: EdgeFunction, n: int, seed: int, initial="stationary") 
         if not 0 <= state < graph.num_states:
             raise ValueError(f"initial state {state} out of range")
 
-    # per-state cumulative rows as plain lists: bisect beats per-step numpy calls
+    # A uniform u steps from x to successors[x][bisect_right(cumulative[x], u)].
+    # Every comparison in that search is constant between consecutive values
+    # of breaks, the union of all rows' breakpoints, so rows[x][j] = the search
+    # at the lower end of interval j gives the same successor, ties included.
+    # The interval above 1.0 is clamped to the last successor; no u reaches it.
     cumulative = []
     successors = []
     for x in range(graph.num_states):
@@ -102,21 +104,36 @@ def sample_trajectory(w: EdgeFunction, n: int, seed: int, initial="stationary") 
         probs[-1] = 1.0
         cumulative.append(probs.tolist())
         successors.append([graph.edges[k][1] for k in positions])
+    breaks = sorted(set().union(*cumulative))
+    lower_ends = [-1.0] + breaks
+    rows = [
+        [succ[min(bisect_right(cum, low), len(cum) - 1)] for low in lower_ends]
+        for cum, succ in zip(cumulative, successors)
+    ]
+    breaks = np.array(breaks)
 
-    uniforms = rng.random(n - 1)
+    # each double takes one 64-bit PCG64 output, so chunked draws give the
+    # same numbers as one rng.random(n - 1)
     states = np.empty(n, dtype=np.intp)
     states[0] = state
-    for i in range(n - 1):
-        state = successors[state][bisect_right(cumulative[state], uniforms[i])]
-        states[i + 1] = state
+    for start in range(1, n, _CHUNK):
+        stop = min(start + _CHUNK, n)
+        walk = []
+        append = walk.append
+        for j in np.searchsorted(breaks, rng.random(stop - start), side="right").tolist():
+            state = rows[state][j]
+            append(state)
+        states[start:stop] = walk
     return Trajectory(graph, states)
 
 
 def _pair_counts(trajectory: Trajectory) -> np.ndarray:
     graph = trajectory.graph
-    ids = _edge_id_matrix(graph)
-    edge_ids = ids[trajectory.states[:-1], trajectory.states[1:]]
-    return np.bincount(edge_ids, minlength=graph.num_edges).astype(float)
+    size = graph.num_states
+    cells = trajectory.states[:-1] * size
+    cells += trajectory.states[1:]
+    counts = np.bincount(cells, minlength=size * size)
+    return counts[graph.sources * size + graph.targets].astype(float)
 
 
 def empirical_pair_measure(trajectory: Trajectory) -> ExpectationPoint:

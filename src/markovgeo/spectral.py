@@ -6,8 +6,12 @@ positive eigenvalue r(f) with positive left/right eigenvectors. The solver is
 a dense eigendecomposition (``numpy.linalg.eig``) of A(f) and of its transpose.
 No other eigenvalue of a nonnegative irreducible matrix has real part as large
 as r(f), periodic structures such as a pure cycle included, so the root is the
-eigenvalue of largest real part. Each EdgeFunction stores its spectral data
-the first time it is computed, so later calls on the same object reuse it.
+eigenvalue of largest real part. Every solve certifies itself: for a positive
+vector v the Collatz-Wielandt quotients (Av)_i / v_i bracket r(f). A bracket
+(widened to hold the computed root) wider than BRACKET_TOL relative gets one
+Newton step, and raises NoConvergence if it is still too wide. Each
+EdgeFunction stores its spectral data the first time it is computed, so later
+calls on the same object reuse it.
 """
 
 from __future__ import annotations
@@ -20,6 +24,9 @@ from .errors import BoundaryFunction, GraphMismatch, NoConvergence, NonpositiveS
 from .graph import ChainGraph
 
 __all__ = ["EdgeFunction", "SpectralData", "matrix_of", "perron", "root_derivative", "scale"]
+
+# Largest relative width of the Collatz-Wielandt bracket a solve may return.
+BRACKET_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -60,13 +67,16 @@ class EdgeFunction:
 class SpectralData:
     """Perron-Frobenius root with left/right eigenvectors normalized to sum 1.
 
-    The eigenvectors are read-only: the data is shared by every caller of
-    perron on the same edge function.
+    bracket_width is the larger relative width of the two Collatz-Wielandt
+    brackets, for mu and for v, each widened to hold the computed root; it is
+    at most BRACKET_TOL. The eigenvectors are read-only: the data is shared by
+    every caller of perron on the same edge function.
     """
 
     root: float
     left_vec: np.ndarray = field(repr=False)
     right_vec: np.ndarray = field(repr=False)
+    bracket_width: float
 
 
 def _require_interior(f: EdgeFunction):
@@ -90,19 +100,61 @@ def matrix_of(f: EdgeFunction) -> np.ndarray:
     return a
 
 
+def _bracket_width(matrix, vec, root):
+    """Relative width of [min (Av)_i / v_i, max (Av)_i / v_i], widened to hold
+    root; NoConvergence unless vec is strictly positive."""
+    if not np.all(vec > 0):
+        raise NoConvergence("dominant eigenvector is not strictly positive")
+    quotients = (matrix @ vec) / vec
+    return (max(quotients.max(), root) - min(quotients.min(), root)) / root
+
+
+def _newton_step(matrix, vec, root):
+    """One Newton step for (root, vec) in the coordinates scaled by vec.
+
+    The scaled matrix D^-1 A D, D = diag(vec), has rows summing to nearly root
+    and a Perron vector near all-ones, so its bordered solve (sum(vec) kept at
+    1) fixes every entry of vec to similar relative accuracy.
+    """
+    n = vec.size
+    scaled = matrix * vec / vec[:, None]
+    system = np.zeros((n + 1, n + 1))
+    system[:n, :n] = scaled - root * np.eye(n)
+    system[:n, n] = -1.0
+    system[n, :n] = vec
+    try:
+        step = np.linalg.solve(system, np.append(root - scaled.sum(axis=1), 0.0))
+    except np.linalg.LinAlgError as exc:
+        raise NoConvergence(f"Newton step failed: {exc}") from exc
+    vec = vec * (1.0 + step[:n])
+    return root + float(step[n]), vec / vec.sum()
+
+
 def _dominant_eigenvector(matrix):
-    """Eigenvalue of largest real part and its eigenvector, scaled to sum 1."""
+    """Eigenvalue of largest real part, its eigenvector scaled to sum 1, and
+    the relative width of the Collatz-Wielandt bracket that certifies both.
+
+    eig's vector is accurate in norm, not entry by entry: with weak edges or
+    weights spread over many orders of magnitude its small entries can be off
+    by 1e-6 relative. When the bracket is too wide, one Newton step corrects
+    them; if the bracket is still too wide, the solve raises.
+    """
     try:
         eigenvalues, vectors = np.linalg.eig(matrix)
     except np.linalg.LinAlgError as exc:
         raise NoConvergence(f"eigensolver failed: {exc}") from exc
     k = int(np.argmax(eigenvalues.real))
+    root = float(eigenvalues[k].real)
     vec = vectors[:, k].real
     vec = vec / vec.sum()
-    if not np.all(vec > 0):
-        raise NoConvergence("dominant eigenvector is not strictly positive")
+    width = _bracket_width(matrix, vec, root)
+    if not width <= BRACKET_TOL:
+        root, vec = _newton_step(matrix, vec, root)
+        width = _bracket_width(matrix, vec, root)
+    if not width <= BRACKET_TOL:
+        raise NoConvergence(f"Collatz-Wielandt bracket width {width:.3g} exceeds {BRACKET_TOL:g}")
     vec.flags.writeable = False
-    return float(eigenvalues[k].real), vec
+    return root, vec, width
 
 
 def perron(f: EdgeFunction) -> SpectralData:
@@ -110,9 +162,10 @@ def perron(f: EdgeFunction) -> SpectralData:
     _require_interior(f)
     if f._spectral is None:
         a = matrix_of(f)
-        root, right = _dominant_eigenvector(a)
-        _, left = _dominant_eigenvector(a.T)
-        object.__setattr__(f, "_spectral", SpectralData(root=root, left_vec=left, right_vec=right))
+        root, right, right_width = _dominant_eigenvector(a)
+        _, left, left_width = _dominant_eigenvector(a.T)
+        sd = SpectralData(root=root, left_vec=left, right_vec=right, bracket_width=max(left_width, right_width))
+        object.__setattr__(f, "_spectral", sd)
     return f._spectral
 
 

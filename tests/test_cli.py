@@ -77,6 +77,7 @@ class TestSpectralCommand:
         report = kv(out)
         assert float(report["r"]) == pytest.approx(2.0, abs=1e-12)
         assert report["mu"].split(",") == ["0.5", "0.5"]
+        assert 0.0 <= float(report["bracket_width"]) <= 1e-9
 
     def test_closed_form_fixture(self, capsys, skewed_f):
         code, out, _ = run(capsys, "spectral", skewed_f)

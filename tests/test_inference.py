@@ -1,3 +1,5 @@
+from bisect import bisect_right
+
 import numpy as np
 import pytest
 
@@ -6,6 +8,7 @@ from markovgeo import (
     ExpectationPoint,
     Trajectory,
     bregman_divergence,
+    build_graph,
     empirical_pair_measure,
     get_generator,
     goodness_of_fit_statistic,
@@ -24,7 +27,7 @@ from markovgeo.errors import (
     UnobservedEdge,
     UnvisitedState,
 )
-from markovgeo.inference import stationarity_gap
+from markovgeo.inference import _pair_counts, stationarity_gap
 from markovgeo.potential import phibar_gradient
 from markovgeo.verify import random_graph, random_transition_probability
 
@@ -84,6 +87,84 @@ class TestSampleTrajectory:
             sample_trajectory(f, 10, seed=0)
 
 
+def reference_sample_states(w, n, seed, initial="stationary"):
+    """The per-step bisect sampler that the interval-table sampler replaced."""
+    graph = w.graph
+    rng = np.random.Generator(np.random.PCG64(seed))
+    if initial == "stationary":
+        mu = perron(w).left_vec
+        state = int(rng.choice(graph.num_states, p=mu / mu.sum()))
+    else:
+        state = int(initial)
+    cumulative = []
+    successors = []
+    for x in range(graph.num_states):
+        positions = graph.out_edges[x]
+        probs = np.cumsum([w.values[k] for k in positions])
+        probs[-1] = 1.0
+        cumulative.append(probs.tolist())
+        successors.append([graph.edges[k][1] for k in positions])
+    uniforms = rng.random(n - 1)
+    states = np.empty(n, dtype=np.intp)
+    states[0] = state
+    for i in range(n - 1):
+        state = successors[state][bisect_right(cumulative[state], uniforms[i])]
+        states[i + 1] = state
+    return states
+
+
+def _random_chain(rng, num_states, self_loops):
+    """A Hamiltonian cycle plus random extra edges, with every self-loop or with none."""
+    order = rng.permutation(num_states)
+    edges = {(int(order[i]), int(order[(i + 1) % num_states])) for i in range(num_states)}
+    for x in range(num_states):
+        for y in range(num_states):
+            if x != y and rng.random() < 0.4:
+                edges.add((x, y))
+        if self_loops:
+            edges.add((x, x))
+    graph = build_graph(num_states, sorted(edges))
+    return random_transition_probability(graph, rng)
+
+
+def assert_matches_reference(w, n, seed, initial="stationary"):
+    states = sample_trajectory(w, n, seed=seed, initial=initial).states
+    np.testing.assert_array_equal(states, reference_sample_states(w, n, seed, initial))
+
+
+class TestSamplerAgainstReference:
+    def test_random_chains(self):
+        rng = make_rng(71)
+        for num_states in range(2, 11):
+            for self_loops in (True, False):
+                w = _random_chain(rng, num_states, self_loops)
+                assert_matches_reference(w, 5000, seed=int(rng.integers(2**63)))
+
+    @pytest.mark.parametrize("tiny_first", [True, False])
+    def test_row_with_tiny_probability(self, two_state, tiny_first):
+        row = [1e-12, 1.0 - 1e-12] if tiny_first else [1.0 - 1e-12, 1e-12]
+        w = EdgeFunction(two_state, np.array(row + [0.5, 0.5]))
+        assert_matches_reference(w, 2**16 + 2, seed=13)
+
+    def test_uniform_equal_to_breakpoint(self, two_state):
+        # the first uniform of the stream is state 0's only inner breakpoint;
+        # bisect_right sends it to the upper successor
+        u = float(np.random.Generator(np.random.PCG64(21)).random())
+        w = EdgeFunction(two_state, np.array([u, 1.0 - u, 0.5, 0.5]))
+        np.testing.assert_array_equal(sample_trajectory(w, 2, seed=21, initial=0).states, [0, 1])
+        assert_matches_reference(w, 1000, seed=21, initial=0)
+
+    @pytest.mark.parametrize("n", [2, 3, 2**16, 2**16 + 1, 2**16 + 2])
+    def test_lengths_around_the_chunk_size(self, n):
+        w = _random_chain(make_rng(72), 3, self_loops=True)
+        assert_matches_reference(w, n, seed=n)
+
+    def test_integer_initial(self):
+        w = _random_chain(make_rng(73), 6, self_loops=False)
+        for initial in range(6):
+            assert_matches_reference(w, 3000, seed=9, initial=initial)
+
+
 class TestEmpiricalPairMeasure:
     def test_counting(self, two_cycle):
         t = Trajectory(two_cycle, [0, 1, 0, 1, 0])
@@ -98,6 +179,15 @@ class TestEmpiricalPairMeasure:
         t = sample_trajectory(skewed_w, 10**5, seed=77)
         eta = empirical_pair_measure(t)
         assert np.max(np.abs(eta.values - tbar(skewed_w).values)) <= 0.02
+
+    def test_pair_counts_match_edge_lookup(self):
+        w = _random_chain(make_rng(74), 7, self_loops=True)
+        t = sample_trajectory(w, 20_000, seed=3)
+        graph = w.graph
+        expected = np.zeros(graph.num_edges)
+        edge_ids = [graph.edge_index[(x, y)] for x, y in zip(t.states[:-1].tolist(), t.states[1:].tolist())]
+        np.add.at(expected, edge_ids, 1.0)
+        np.testing.assert_array_equal(_pair_counts(t), expected)
 
     def test_unobserved_edge(self, two_state):
         t = Trajectory(two_state, [0, 1, 0, 1, 0])

@@ -6,7 +6,8 @@ import pytest
 from markovgeo import EdgeFunction, build_graph, matrix_of, perron, root_derivative, scale
 from markovgeo.cli import EXIT_NOCONV, main
 from markovgeo.errors import BoundaryFunction, NoConvergence, NonpositiveScale
-from markovgeo.spectral import root_gradient
+from markovgeo import spectral
+from markovgeo.spectral import BRACKET_TOL, root_gradient
 from markovgeo.verify import random_edge_function, random_graph, random_transition_probability
 
 from conftest import make_rng
@@ -93,6 +94,47 @@ class TestPerron:
         assert np.all(sd.left_vec > 0) and np.all(sd.right_vec > 0)
         assert sd.left_vec.sum() == pytest.approx(1.0, abs=1e-12)
         assert sd.right_vec.sum() == pytest.approx(1.0, abs=1e-12)
+
+
+class TestCertificate:
+    @staticmethod
+    def _weak_edge_ring(n):
+        # unit weights around a ring except one edge of 1e-20: the root is
+        # 1e-20 ** (1 / n) and the eigenvectors span about 20 decades
+        g = build_graph(n, [(x, (x + 1) % n) for x in range(n)])
+        values = np.ones(n)
+        values[0] = 1e-20
+        return EdgeFunction(g, values)
+
+    def test_weak_edge_ring_meets_tolerance(self):
+        n = 40
+        sd = perron(self._weak_edge_ring(n))
+        r = 1e-20 ** (1 / n)
+        assert sd.root == pytest.approx(r, rel=BRACKET_TOL)
+        assert sd.bracket_width <= BRACKET_TOL
+        # closed forms from w_x v(x+1) = r v(x) and mu(x) w_x = r mu(x+1)
+        right = np.array([1.0] + [1e20 * r**i for i in range(1, n)])
+        left = np.array([1.0] + [1e-20 * r**-i for i in range(1, n)])
+        np.testing.assert_allclose(sd.right_vec, right / right.sum(), rtol=1e-12, atol=0)
+        np.testing.assert_allclose(sd.left_vec, left / left.sum(), rtol=1e-12, atol=0)
+
+    def test_uncorrected_eig_vector_raises(self, monkeypatch):
+        # eig alone gets the ring's small entries wrong by about 1e-6 relative
+        monkeypatch.setattr(spectral, "_newton_step", lambda matrix, vec, root: (root, vec))
+        with pytest.raises(NoConvergence, match="Collatz-Wielandt"):
+            perron(self._weak_edge_ring(40))
+
+    def test_bracket_holds_root(self):
+        rng = make_rng(31)
+        for d in range(1, 12):
+            f = random_edge_function(random_graph(d, rng), rng, low=-6.0, high=6.0)
+            sd = perron(f)
+            a = matrix_of(f)
+            assert sd.bracket_width <= BRACKET_TOL
+            for quotients in ((a @ sd.right_vec) / sd.right_vec, (sd.left_vec @ a) / sd.left_vec):
+                assert quotients.min() <= sd.root * (1 + BRACKET_TOL)
+                assert quotients.max() >= sd.root * (1 - BRACKET_TOL)
+                assert quotients.max() - quotients.min() <= BRACKET_TOL * sd.root
 
 
 class TestStoredSpectralData:

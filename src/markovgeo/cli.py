@@ -17,19 +17,7 @@ import sys
 import numpy as np
 
 from . import coordinates, divergence, inference, potential, spectral, verify
-from .errors import (
-    GraphError,
-    GraphMismatch,
-    MarkovGeoError,
-    NoConvergence,
-    NotInMtilde,
-    NotTransitionProbability,
-    BoundaryFunction,
-    ParseError,
-    ProjectionNoConvergence,
-    UnobservedEdge,
-    UnvisitedState,
-)
+from .errors import MarkovGeoError, NoConvergence, NotTransitionProbability, ParseError, ProjectionNoConvergence
 from .graph import parse_chain_file
 
 EXIT_OK = 0
@@ -38,15 +26,23 @@ EXIT_DOMAIN = 3
 EXIT_NOCONV = 4
 EXIT_VERIFY = 5
 
-_DOMAIN_ERRORS = (
-    GraphError,
-    GraphMismatch,
-    NotTransitionProbability,
-    NotInMtilde,
-    BoundaryFunction,
-    UnobservedEdge,
-    UnvisitedState,
-)
+# the first class an error is an instance of decides its exit code, so every
+# library error but a parse or convergence failure is a domain error
+_EXIT_CODES = {
+    ParseError: EXIT_PARSE,
+    FileNotFoundError: EXIT_PARSE,
+    ValueError: EXIT_PARSE,
+    KeyError: EXIT_PARSE,
+    NoConvergence: EXIT_NOCONV,
+    ProjectionNoConvergence: EXIT_NOCONV,
+    MarkovGeoError: EXIT_DOMAIN,
+}
+
+# the value type each chain-file mode holds, and how an error names the mode
+_MODES = {
+    "edge": (spectral.EdgeFunction, "an edge-function file"),
+    "expectation": (coordinates.ExpectationPoint, "'mode expectation'"),
+}
 
 
 def _fmt(value) -> str:
@@ -60,6 +56,7 @@ def _fmt(value) -> str:
 class Report:
     def __init__(self, command: str):
         self.items: list[tuple[str, object]] = [("command", command)]
+        self.exit_code = EXIT_OK
 
     def add(self, key: str, value) -> None:
         self.items.append((key, value))
@@ -72,28 +69,20 @@ class Report:
                 print(f"{key} {_fmt(value)}")
 
 
-def _load_edge_function(path: str) -> spectral.EdgeFunction:
+def _load(path: str, mode: str):
+    """The value a chain file of the given mode holds (see _MODES)."""
     with open(path, encoding="utf-8") as handle:
-        graph, values, mode = parse_chain_file(handle.read())
+        graph, values, file_mode = parse_chain_file(handle.read())
     if values is None:
         raise ParseError(f"{path}: edges carry no values")
-    if mode != "edge":
-        raise ParseError(f"{path}: expected an edge-function file, got mode {mode!r}")
-    return spectral.EdgeFunction(graph, values)
-
-
-def _load_expectation_point(path: str) -> coordinates.ExpectationPoint:
-    with open(path, encoding="utf-8") as handle:
-        graph, values, mode = parse_chain_file(handle.read())
-    if values is None:
-        raise ParseError(f"{path}: edges carry no values")
-    if mode != "expectation":
-        raise ParseError(f"{path}: expected 'mode expectation', got mode {mode!r}")
-    return coordinates.ExpectationPoint(graph, values)
+    value_type, expected = _MODES[mode]
+    if file_mode != mode:
+        raise ParseError(f"{path}: expected {expected}, got mode {file_mode!r}")
+    return value_type(graph, values)
 
 
 def cmd_spectral(args) -> Report:
-    f = _load_edge_function(args.file)
+    f = _load(args.file, "edge")
     sd = spectral.perron(f)
     report = Report("spectral")
     report.add("file", args.file)
@@ -106,8 +95,8 @@ def cmd_spectral(args) -> Report:
 
 
 def cmd_divergence(args) -> Report:
-    f = _load_edge_function(args.file_f)
-    g = _load_edge_function(args.file_g)
+    f = _load(args.file_f, "edge")
+    g = _load(args.file_g, "edge")
     gen = divergence.get_generator(args.generator)
     report = Report("divergence")
     report.add("file_f", args.file_f)
@@ -121,7 +110,7 @@ def cmd_divergence(args) -> Report:
 
 
 def cmd_potential(args) -> Report:
-    eta = _load_expectation_point(args.file)
+    eta = _load(args.file, "expectation")
     report = Report("potential")
     report.add("file", args.file)
     report.add("phibar", potential.phibar(eta))
@@ -142,7 +131,7 @@ def cmd_potential(args) -> Report:
 
 
 def cmd_project(args) -> Report:
-    eta = _load_expectation_point(args.file)
+    eta = _load(args.file, "expectation")
     projected, trace = inference.project_to_M(eta, with_trace=True)
     report = Report("project")
     report.add("file", args.file)
@@ -165,7 +154,7 @@ def cmd_project(args) -> Report:
 
 
 def cmd_sample(args) -> Report:
-    w = _load_edge_function(args.file)
+    w = _load(args.file, "edge")
     trajectory = inference.sample_trajectory(w, args.n, args.seed, args.initial)
     print(" ".join(str(s) for s in trajectory.states))
     report = Report("sample")
@@ -177,7 +166,7 @@ def cmd_sample(args) -> Report:
 
 
 def cmd_estimate(args) -> Report:
-    w = _load_edge_function(args.file)
+    w = _load(args.file, "edge")
     if not coordinates.is_transition_probability(w):
         raise NotTransitionProbability("estimation input must be a transition probability")
     trajectory = inference.sample_trajectory(w, args.n, args.seed, "stationary")
@@ -283,20 +272,11 @@ def main(argv=None) -> int:
         if args.cmd == "sample" and args.initial != "stationary":
             args.initial = int(args.initial)
         report = args.func(args)
-    except (ParseError, FileNotFoundError, ValueError, KeyError) as exc:
+    except tuple(_EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except _DOMAIN_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DOMAIN
-    except (NoConvergence, ProjectionNoConvergence) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NOCONV
-    except MarkovGeoError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DOMAIN
+        return next(code for cls, code in _EXIT_CODES.items() if isinstance(exc, cls))
     report.emit(args.format)
-    return getattr(report, "exit_code", EXIT_OK)
+    return report.exit_code
 
 
 if __name__ == "__main__":

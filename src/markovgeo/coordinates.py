@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import OutOfRangeState
-from .graph import ChainGraph
+from .graph import ChainGraph, frozen_array
 from .spectral import EdgeFunction, perron
 
 __all__ = [
@@ -34,6 +34,7 @@ __all__ = [
     "scale_point",
 ]
 
+# absolute tolerance of every membership predicate
 DEFAULT_TOL = 1e-9
 
 
@@ -49,8 +50,7 @@ class ExpectationPoint:
     values: np.ndarray
 
     def __post_init__(self):
-        values = np.array(self.values, dtype=float)
-        values.flags.writeable = False
+        values = frozen_array(self.values, float)
         object.__setattr__(self, "values", values)
         if values.shape != (self.graph.num_edges,):
             raise ValueError(f"expected {self.graph.num_edges} values, got shape {values.shape}")
@@ -67,16 +67,12 @@ def mass(eta: ExpectationPoint) -> float:
 
 def in_marginals(eta: ExpectationPoint) -> np.ndarray:
     """Incoming sums eta^x for every state at once."""
-    out = np.zeros(eta.graph.num_states)
-    np.add.at(out, eta.graph.targets, eta.values)
-    return out
+    return np.bincount(eta.graph.targets, weights=eta.values, minlength=eta.graph.num_states)
 
 
 def out_marginals(eta: ExpectationPoint) -> np.ndarray:
     """Outgoing sums eta_x for every state at once."""
-    out = np.zeros(eta.graph.num_states)
-    np.add.at(out, eta.graph.sources, eta.values)
-    return out
+    return np.bincount(eta.graph.sources, weights=eta.values, minlength=eta.graph.num_states)
 
 
 def _check_state(eta, x):
@@ -106,16 +102,15 @@ def taubar(eta: ExpectationPoint) -> EdgeFunction:
     return EdgeFunction(eta.graph, mass(eta) * eta.values / eta_in[eta.graph.sources])
 
 
-def is_transition_probability(f: EdgeFunction, tol: float = DEFAULT_TOL) -> bool:
+def is_transition_probability(f: EdgeFunction) -> bool:
     """Membership in W: every outgoing row sum equals 1."""
-    rows = np.zeros(f.graph.num_states)
-    np.add.at(rows, f.graph.sources, f.values)
-    return bool(np.max(np.abs(rows - 1.0)) <= tol)
+    rows = np.bincount(f.graph.sources, weights=f.values, minlength=f.graph.num_states)
+    return bool(np.max(np.abs(rows - 1.0)) <= DEFAULT_TOL)
 
 
-def is_positive_transition_measure(f: EdgeFunction, tol: float = DEFAULT_TOL) -> bool:
+def is_positive_transition_measure(f: EdgeFunction) -> bool:
     """Membership in the root-one hypersurface of positive transition measures."""
-    return abs(perron(f).root - 1.0) <= tol
+    return abs(perron(f).root - 1.0) <= DEFAULT_TOL
 
 
 def normalize_to_measure(f: EdgeFunction) -> EdgeFunction:
@@ -123,16 +118,16 @@ def normalize_to_measure(f: EdgeFunction) -> EdgeFunction:
     return EdgeFunction(f.graph, f.values / perron(f).root)
 
 
-def is_in_Mtilde(eta: ExpectationPoint, tol: float = DEFAULT_TOL) -> bool:
+def is_in_Mtilde(eta: ExpectationPoint) -> bool:
     """Normalization condition only: total mass 1."""
-    return abs(mass(eta) - 1.0) <= tol
+    return abs(mass(eta) - 1.0) <= DEFAULT_TOL
 
 
-def is_in_M(eta: ExpectationPoint, tol: float = DEFAULT_TOL) -> bool:
+def is_in_M(eta: ExpectationPoint) -> bool:
     """Mass 1 and stationarity: outgoing and incoming marginals agree at every state."""
-    if not is_in_Mtilde(eta, tol):
+    if not is_in_Mtilde(eta):
         return False
-    return bool(np.max(np.abs(out_marginals(eta) - in_marginals(eta))) <= tol)
+    return bool(np.max(np.abs(out_marginals(eta) - in_marginals(eta))) <= DEFAULT_TOL)
 
 
 def scale_point(eta: ExpectationPoint, a: float) -> ExpectationPoint:

@@ -34,7 +34,9 @@ class ParseError(MarkovGeoError):
 
 
 class NoConvergence(MarkovGeoError):
-    """The eigensolver failed or returned no strictly positive Perron vector."""
+    """The eigensolver failed, returned no strictly positive Perron vector, or
+    left a Collatz-Wielandt bracket wider than spectral.BRACKET_TOL after its
+    Newton step (the Newton solve itself may fail too)."""
 
 
 class NonpositiveScale(MarkovGeoError):

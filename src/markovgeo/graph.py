@@ -7,7 +7,9 @@ connected at construction and is immutable afterwards.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass, field
+from types import MappingProxyType
 
 import numpy as np
 
@@ -28,13 +30,25 @@ __all__ = [
 ]
 
 
+def frozen_array(values, dtype) -> np.ndarray:
+    """A read-only copy of values at dtype: the one way every value type
+    (ChainGraph, EdgeFunction, ExpectationPoint, SpectralData, Trajectory)
+    holds an array, so none aliases its caller's array or can be changed."""
+    array = np.array(values, dtype=dtype)
+    array.flags.writeable = False
+    return array
+
+
 @dataclass(frozen=True)
 class ChainGraph:
-    """The directed graph (X, E) with |X| = num_states, edges in canonical order."""
+    """The directed graph (X, E) with |X| = num_states, edges in canonical order.
+
+    Built and validated by build_graph; its index map and arrays are read-only.
+    """
 
     num_states: int
     edges: tuple[tuple[int, int], ...]
-    edge_index: dict[tuple[int, int], int] = field(compare=False, repr=False)
+    edge_index: Mapping[tuple[int, int], int] = field(compare=False, repr=False)
     out_edges: tuple[tuple[int, ...], ...] = field(compare=False, repr=False)
     in_edges: tuple[tuple[int, ...], ...] = field(compare=False, repr=False)
     # per-edge source/target state arrays, for vectorized gathers
@@ -118,22 +132,19 @@ def build_graph(num_states: int, edges) -> ChainGraph:
         raise NotStronglyConnected(witness)
 
     ordered = tuple(sorted(edges))
-    edge_index = {edge: k for k, edge in enumerate(ordered)}
     out_lists = [[] for _ in range(num_states)]
     in_lists = [[] for _ in range(num_states)]
     for k, (x, y) in enumerate(ordered):
         out_lists[x].append(k)
         in_lists[y].append(k)
-    sources = np.array([x for x, _ in ordered], dtype=np.intp)
-    targets = np.array([y for _, y in ordered], dtype=np.intp)
     return ChainGraph(
         num_states=num_states,
         edges=ordered,
-        edge_index=edge_index,
+        edge_index=MappingProxyType({edge: k for k, edge in enumerate(ordered)}),
         out_edges=tuple(tuple(v) for v in out_lists),
         in_edges=tuple(tuple(v) for v in in_lists),
-        sources=sources,
-        targets=targets,
+        sources=frozen_array([x for x, _ in ordered], np.intp),
+        targets=frozen_array([y for _, y in ordered], np.intp),
     )
 
 

@@ -31,7 +31,7 @@ from .errors import (
     UnobservedEdge,
     UnvisitedState,
 )
-from .graph import ChainGraph
+from .graph import ChainGraph, frozen_array
 from .potential import phibar, phibar_gradient, phibar_hessian
 from .spectral import EdgeFunction, perron
 
@@ -49,13 +49,16 @@ __all__ = [
 
 @dataclass(frozen=True)
 class Trajectory:
-    """A state sequence whose consecutive pairs are all edges of the graph."""
+    """A state sequence whose consecutive pairs are all edges of the graph.
+
+    The states are a read-only copy, so the checked invariant holds for good.
+    """
 
     graph: ChainGraph
     states: np.ndarray
 
     def __post_init__(self):
-        states = np.asarray(self.states, dtype=np.intp)
+        states = frozen_array(self.states, np.intp)
         object.__setattr__(self, "states", states)
         if states.ndim != 1 or states.size < 2:
             raise ValueError("a trajectory needs at least 2 states")
@@ -151,8 +154,7 @@ def mle_transition(trajectory: Trajectory, smoothing: float = 0.0) -> EdgeFuncti
     unless additive smoothing is requested (smoothing added to every count)."""
     graph = trajectory.graph
     counts = _pair_counts(trajectory) + smoothing
-    row_sums = np.zeros(graph.num_states)
-    np.add.at(row_sums, graph.sources, counts)
+    row_sums = np.bincount(graph.sources, weights=counts, minlength=graph.num_states)
     if np.any(row_sums == 0):
         raise UnvisitedState(np.flatnonzero(row_sums == 0).tolist())
     values = counts / row_sums[graph.sources]

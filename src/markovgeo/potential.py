@@ -66,25 +66,14 @@ def phibar_hessian(eta: ExpectationPoint) -> np.ndarray:
     return out
 
 
-def restricted_hessian(eta: ExpectationPoint, eliminated_edge=None, tol: float = 1e-9) -> np.ndarray:
+def restricted_hessian(eta: ExpectationPoint) -> np.ndarray:
     """Hessian pulled back to the mass-one section's affine chart.
 
-    The chart keeps every coordinate except eliminated_edge (default: the
-    lexicographically last edge), which is recovered from the normalization
-    condition. The result is symmetric positive definite.
+    The chart keeps every coordinate but the lexicographically last edge's,
+    which is recovered from the normalization condition. The result is
+    symmetric positive definite.
     """
-    if not is_in_Mtilde(eta, tol):
+    if not is_in_Mtilde(eta):
         raise NotInMtilde("restricted Hessian requires a point of total mass 1")
-    g = eta.graph
-    if eliminated_edge is None:
-        eliminated = g.num_edges - 1
-    else:
-        eliminated = g.edge_index[tuple(eliminated_edge)]
-    keep = [k for k in range(g.num_edges) if k != eliminated]
     h = phibar_hessian(eta)
-    return (
-        h[np.ix_(keep, keep)]
-        - h[keep, eliminated][:, None]
-        - h[eliminated, keep][None, :]
-        + h[eliminated, eliminated]
-    )
+    return h[:-1, :-1] - h[:-1, -1:] - h[-1:, :-1] + h[-1, -1]

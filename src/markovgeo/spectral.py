@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import BoundaryFunction, GraphMismatch, NoConvergence, NonpositiveScale
-from .graph import ChainGraph
+from .graph import ChainGraph, frozen_array
 
 __all__ = ["EdgeFunction", "SpectralData", "matrix_of", "perron", "root_derivative", "scale"]
 
@@ -48,8 +48,7 @@ class EdgeFunction:
     _spectral: SpectralData | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        values = np.array(self.values, dtype=float)
-        values.flags.writeable = False
+        values = frozen_array(self.values, float)
         object.__setattr__(self, "values", values)
         if values.shape != (self.graph.num_edges,):
             raise ValueError(f"expected {self.graph.num_edges} values, got shape {values.shape}")
@@ -69,14 +68,18 @@ class SpectralData:
 
     bracket_width is the larger relative width of the two Collatz-Wielandt
     brackets, for mu and for v, each widened to hold the computed root; it is
-    at most BRACKET_TOL. The eigenvectors are read-only: the data is shared by
-    every caller of perron on the same edge function.
+    at most BRACKET_TOL. The eigenvectors are read-only copies: the data is
+    shared by every caller of perron on the same edge function.
     """
 
     root: float
     left_vec: np.ndarray = field(repr=False)
     right_vec: np.ndarray = field(repr=False)
     bracket_width: float
+
+    def __post_init__(self):
+        object.__setattr__(self, "left_vec", frozen_array(self.left_vec, float))
+        object.__setattr__(self, "right_vec", frozen_array(self.right_vec, float))
 
 
 def _require_interior(f: EdgeFunction):
@@ -153,7 +156,6 @@ def _dominant_eigenvector(matrix):
         width = _bracket_width(matrix, vec, root)
     if not width <= BRACKET_TOL:
         raise NoConvergence(f"Collatz-Wielandt bracket width {width:.3g} exceeds {BRACKET_TOL:g}")
-    vec.flags.writeable = False
     return root, vec, width
 
 
@@ -170,19 +172,19 @@ def perron(f: EdgeFunction) -> SpectralData:
 
 
 def root_derivative(f: EdgeFunction, edge: tuple[int, int]) -> float:
-    """Partial derivative of the root with respect to the weight on one edge.
-
-    First-order eigenvalue perturbation: d r / d A_st = mu_s v_t / (mu . v).
-    """
+    """Partial derivative of the root with respect to the weight on one edge:
+    its entry of root_gradient. KeyError if (s, t) is not an edge."""
     s, t = edge
     if (s, t) not in f.graph.edge_index:
         raise KeyError(f"({s}, {t}) is not an edge")
-    sd = perron(f)
-    return float(sd.left_vec[s] * sd.right_vec[t] / (sd.left_vec @ sd.right_vec))
+    return float(root_gradient(f)[f.graph.edge_index[(s, t)]])
 
 
 def root_gradient(f: EdgeFunction, spectral: SpectralData | None = None) -> np.ndarray:
-    """All edge partials of the root at once, in canonical edge order."""
+    """All edge partials of the root at once, in canonical edge order.
+
+    First-order eigenvalue perturbation: d r / d A_st = mu_s v_t / (mu . v).
+    """
     sd = spectral if spectral is not None else perron(f)
     g = f.graph
     return sd.left_vec[g.sources] * sd.right_vec[g.targets] / (sd.left_vec @ sd.right_vec)

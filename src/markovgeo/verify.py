@@ -69,8 +69,7 @@ def random_edge_function(graph: ChainGraph, rng: np.random.Generator, low=-2.0, 
 
 def random_transition_probability(graph: ChainGraph, rng: np.random.Generator) -> EdgeFunction:
     values = rng.uniform(0.1, 1.0, size=graph.num_edges)
-    row_sums = np.zeros(graph.num_states)
-    np.add.at(row_sums, graph.sources, values)
+    row_sums = np.bincount(graph.sources, weights=values, minlength=graph.num_states)
     return EdgeFunction(graph, values / row_sums[graph.sources])
 
 

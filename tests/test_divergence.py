@@ -69,8 +69,8 @@ class TestGenerators:
         # reverse KL generator: t log t - (t - 1)
         gen = StandardConvexFunction(
             name="reverse_kl_test",
-            eval=lambda t: t * math.log(t) - (t - 1.0),
-            deriv1=math.log,
+            eval=lambda t: t * np.log(t) - (t - 1.0),
+            deriv1=np.log,
             deriv2=lambda t: 1.0 / t,
         )
         registered = register_generator(gen)
@@ -82,7 +82,7 @@ class TestGenerators:
             name="bad_norm_test",
             eval=lambda t: (t - 1.0) ** 2,  # second derivative 2 at t = 1
             deriv1=lambda t: 2.0 * (t - 1.0),
-            deriv2=lambda t: 2.0,
+            deriv2=lambda t: np.full_like(t, 2.0),
         )
         with pytest.raises(GeneratorInvalid):
             register_generator(bad)
@@ -90,19 +90,60 @@ class TestGenerators:
     def test_register_rejects_inconsistent_derivative(self):
         bad = StandardConvexFunction(
             name="bad_deriv_test",
-            eval=lambda t: -math.log(t) + (t - 1.0),
+            eval=lambda t: -np.log(t) + (t - 1.0),
             deriv1=lambda t: 1.0 - 2.0 / t,  # wrong slope
             deriv2=lambda t: 1.0 / t**2,
         )
         with pytest.raises(GeneratorInvalid):
             register_generator(bad)
 
+    def test_register_rejects_scalar_only_generator(self):
+        scalar_only = StandardConvexFunction(
+            name="scalar_only_test",
+            eval=lambda t: -math.log(t) + (t - 1.0),
+            deriv1=lambda t: 1.0 - 1.0 / t,
+            deriv2=lambda t: 1.0 / t**2,
+        )
+        with pytest.raises(GeneratorInvalid, match="fails on an array"):
+            register_generator(scalar_only)
+
+    def test_register_rejects_scalar_result(self):
+        constant = StandardConvexFunction(
+            name="scalar_result_test",
+            eval=lambda t: 0.5 * (t - 1.0) ** 2,
+            deriv1=lambda t: t - 1.0,
+            deriv2=lambda t: 1.0,  # one float for any array
+        )
+        with pytest.raises(GeneratorInvalid, match="returns shape"):
+            register_generator(constant)
+
+    def test_builtins_keep_input_shape(self):
+        t = np.array([[0.5, 1.0, 2.0]])
+        for gen in builtin_generators():
+            for fn in (gen.eval, gen.deriv1, gen.deriv2):
+                assert np.shape(fn(t)) == t.shape
+
     def test_duplicate_name_rejected(self):
         with pytest.raises(GeneratorInvalid):
             register_generator(KL)
 
 
+def per_edge_f_divergence(gen, f, g):
+    """Reference: the generator called on one edge's ratio at a time."""
+    sd_f, sd_g = perron(f), perron(g)
+    ratio = (g.values / sd_g.root) / (f.values / sd_f.root)
+    weights = sd_f.left_vec[f.graph.sources] * f.values
+    return float(weights @ np.array([gen.eval(t) for t in ratio]))
+
+
 class TestFDivergence:
+    @pytest.mark.parametrize("gen", [KL, CHI2, HELLINGER], ids=lambda g: g.name)
+    def test_matches_per_edge_reference(self, gen):
+        rng = make_rng(40)
+        for _ in range(20):
+            g = random_graph(int(rng.integers(1, 8)), rng)
+            f1, f2 = random_edge_function(g, rng), random_edge_function(g, rng)
+            assert f_divergence(gen, f1, f2) == pytest.approx(per_edge_f_divergence(gen, f1, f2), rel=1e-14, abs=0)
     def test_zero_on_rays(self):
         rng = make_rng(41)
         for gen in builtin_generators():

@@ -124,6 +124,23 @@ class TestIndexMaps:
             assert all(len(lst) > 0 for lst in g.in_edges)
 
 
+class TestGraphValue:
+    def test_index_arrays_read_only(self):
+        g = build_graph(3, [(0, 1), (1, 2), (2, 0), (2, 2)])
+        for array in (g.sources, g.targets):
+            with pytest.raises(ValueError):
+                array[0] = 1
+            with pytest.raises(ValueError):
+                array += 1
+        with pytest.raises(TypeError):
+            g.edge_index[(0, 1)] = 3
+        with pytest.raises(TypeError):
+            del g.edge_index[(0, 1)]
+        assert g.edge_index[(2, 2)] == 3
+        np.testing.assert_array_equal(g.sources, [0, 1, 2, 2])
+        np.testing.assert_array_equal(g.targets, [1, 2, 0, 2])
+
+
 class TestChainFile:
     def test_parse_basic(self):
         text = "# fixture\nstates 2\nedge 0 0 1.0\nedge 0 1 2e0\nedge 1 0 3.0\nedge 1 1 4.0\n"

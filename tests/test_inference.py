@@ -58,6 +58,19 @@ class TestTrajectory:
         with pytest.raises(ValueError):
             Trajectory(two_cycle, [0, 1, 2])
 
+    def test_caller_array_is_copied(self, two_cycle):
+        arr = np.array([0, 1, 0, 1, 0], dtype=np.intp)
+        t = Trajectory(two_cycle, arr)
+        arr[1] = 0  # (0, 0) is not an edge of the cycle
+        np.testing.assert_array_equal(t.states, [0, 1, 0, 1, 0])
+
+    def test_states_read_only(self, two_cycle):
+        t = Trajectory(two_cycle, [0, 1, 0, 1, 0])
+        with pytest.raises(ValueError):
+            t.states[1] = 0
+        with pytest.raises(ValueError):
+            sample_trajectory(EdgeFunction(two_cycle, np.ones(2)), 5, seed=0).states[1] = 0
+
 
 class TestSampleTrajectory:
     def test_deterministic_cycle(self, two_cycle):

@@ -77,6 +77,14 @@ def loop_hessian(eta):
     return 0.5 * (h + h.T)
 
 
+def ix_restricted_hessian(eta):
+    """Reference: the restricted Hessian gathered with np.ix_ over the kept edges."""
+    h = phibar_hessian(eta)
+    last = eta.graph.num_edges - 1
+    keep = list(range(last))
+    return h[np.ix_(keep, keep)] - h[keep, last][:, None] - h[last, keep][None, :] + h[last, last]
+
+
 def random_mass_one_point(graph, rng):
     values = np.exp(rng.uniform(-1.5, 1.5, graph.num_edges))
     return ExpectationPoint(graph, values / values.sum())
@@ -217,6 +225,19 @@ class TestRestrictedHessian:
             g = random_graph(int(rng.integers(1, 6)), rng)
             eta = random_mass_one_point(g, rng)
             assert np.min(np.linalg.eigvalsh(restricted_hessian(eta))) > 0
+
+    @pytest.mark.parametrize("self_loops", [True, False])
+    def test_equals_ix_reference_bitwise(self, self_loops):
+        rng = make_rng(79 if self_loops else 80)
+        for _ in range(20):
+            g = random_graph(int(rng.integers(1, 9)), rng)
+            n = g.num_states
+            if self_loops:
+                edges = set(g.edges) | {(x, x) for x in range(n)}
+            else:
+                edges = {(x, y) for x, y in g.edges if x != y}
+            eta = random_mass_one_point(build_graph(n, sorted(edges)), rng)
+            np.testing.assert_array_equal(restricted_hessian(eta), ix_restricted_hessian(eta))
 
     def test_requires_mass_one(self, two_state):
         with pytest.raises(NotInMtilde):

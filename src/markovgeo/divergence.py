@@ -69,10 +69,11 @@ def _validate_generator(gen: StandardConvexFunction):
     t = 2.0 ** np.arange(-6.0, 7.0)
     f, d1, d2 = on_array("F", gen.eval, t), on_array("F'", gen.deriv1, t), on_array("F''", gen.deriv2, t)
     one = 6  # t[one] == 1.0
+    # every check is written so that NaN fails it
     for label, value in (("F(1)", f[one]), ("F'(1)", d1[one])):
-        if abs(value) > 1e-12:
+        if not abs(value) <= 1e-12:
             raise GeneratorInvalid(f"{gen.name}: {label} = {value}, expected 0")
-    if abs(d2[one] - 1.0) > 1e-12:
+    if not abs(d2[one] - 1.0) <= 1e-12:
         raise GeneratorInvalid(f"{gen.name}: F''(1) = {d2[one]}, expected 1")
     bad = np.flatnonzero(~(d2 > 0))
     if bad.size:
@@ -81,14 +82,28 @@ def _validate_generator(gen: StandardConvexFunction):
     fd1 = (on_array("F", gen.eval, t + h) - on_array("F", gen.eval, t - h)) / (2 * h)
     fd2 = (on_array("F'", gen.deriv1, t + h) - on_array("F'", gen.deriv1, t - h)) / (2 * h)
     for label, fd, exact in (("F' inconsistent with F", fd1, d1), ("F'' inconsistent with F'", fd2, d2)):
-        bad = np.flatnonzero(np.abs(fd - exact) > 1e-6 * np.maximum(np.abs(exact), 1e-3))
+        bad = np.flatnonzero(~(np.abs(fd - exact) <= 1e-6 * np.maximum(np.abs(exact), 1e-3)))
         if bad.size:
             raise GeneratorInvalid(f"{gen.name}: {label} near t = {t[bad[0]]}")
 
 
+def _kl_eval(t):
+    """-log t + (t - 1), without its cancellation near t = 1: with
+    s = (t - 1)/(t + 1), log t = 2 sum_{k>=0} s^(2k+1)/(2k+1), so the value is
+    2 s^2 (1/(1 - s) - sum_{k>=1} s^(2k-1)/(2k+1)), whose first 7 terms leave
+    less than 1e-16 relative for |s| <= 0.1."""
+    s = (t - 1.0) / (t + 1.0)
+    s2 = s * s
+    tail = 1.0 / 15.0
+    for k in range(6, 0, -1):
+        tail = tail * s2 + 1.0 / (2 * k + 1)
+    series = 2.0 * s2 * (1.0 / (1.0 - s) - s * tail)
+    return np.where(np.abs(s) <= 0.1, series, -np.log(t) + (t - 1.0))[()]
+
+
 _KL = StandardConvexFunction(
     name="kl",
-    eval=lambda t: -np.log(t) + (t - 1.0),
+    eval=_kl_eval,
     deriv1=lambda t: 1.0 - 1.0 / t,
     deriv2=lambda t: 1.0 / t**2,
 )

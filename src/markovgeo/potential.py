@@ -37,33 +37,29 @@ def phibar_gradient(eta: ExpectationPoint) -> np.ndarray:
 
 
 def phibar_hessian(eta: ExpectationPoint) -> np.ndarray:
-    """Dense Hessian assembled from the closed-form entry expression.
+    """Dense Hessian from the closed-form entry expression, one row per edge.
 
     Entry ((s,t),(u,v)):
         kron(st,uv)/eta_st - kron(s,v)/eta^s - (kron(t,u) eta^t - kron(t,v) eta_t)/(eta^t)^2
-    The matrix is explicitly symmetrized after assembly; asymmetry beyond
-    1e-10 of the largest entry indicates an assembly bug and raises.
+    so row (s,t) is around[t] - into[s], plus 1/eta_st on the diagonal: into[x]
+    is 1/eta^x on the edges into x, around[x] is eta_x/(eta^x)^2 there less
+    1/eta^x on the edges out of x. A cell and its mirror combine the same
+    floats in orders that differ only by commutativity, so the result is
+    symmetric bit for bit; an asymmetric one is an assembly bug and raises.
     """
     g = eta.graph
-    eta_in = in_marginals(eta)
-    eta_out = out_marginals(eta)
-    # the kron terms are nonzero only on blocks that share a state x:
-    # (out_edges[x], in_edges[x]) and its transpose for kron(s,v) and kron(t,u),
-    # (in_edges[x], in_edges[x]) for kron(t,v)
-    h = np.diag(1.0 / eta.values)
-    for x in range(g.num_states):
-        out_x, in_x = g.out_edges[x], g.in_edges[x]
-        h[np.ix_(out_x, in_x)] -= 1.0 / eta_in[x]
-        h[np.ix_(in_x, out_x)] -= 1.0 / eta_in[x]
-        h[np.ix_(in_x, in_x)] += eta_out[x] / eta_in[x] ** 2
-    # one E x E buffer holds |h - h^T| for the check, then the symmetrized result
-    out = np.subtract(h, h.T)
-    asymmetry = np.abs(out, out=out).max()
-    if asymmetry > 1e-10 * max(h.max(), -h.min(), 1.0):
-        raise RuntimeError(f"Hessian assembly asymmetry {asymmetry}")
-    np.add(h, h.T, out=out)
-    out *= 0.5
-    return out
+    inv_in = 1.0 / in_marginals(eta)[:, None]
+    states = np.arange(g.num_states)[:, None]
+    into = (g.targets == states) * inv_in
+    around = into * (out_marginals(eta)[:, None] * inv_in) - (g.sources == states) * inv_in
+    h = around[g.targets]
+    # edges are sorted by source, so the rows of a state's out-edges are one slice
+    for x, out_x in enumerate(g.out_edges):
+        h[out_x[0] : out_x[-1] + 1] -= into[x]
+    h.flat[:: g.num_edges + 1] += 1.0 / eta.values
+    if not np.array_equal(h, h.T):
+        raise RuntimeError("Hessian assembly is not symmetric")
+    return h
 
 
 def restricted_hessian(eta: ExpectationPoint) -> np.ndarray:
@@ -76,4 +72,7 @@ def restricted_hessian(eta: ExpectationPoint) -> np.ndarray:
     if not is_in_Mtilde(eta):
         raise NotInMtilde("restricted Hessian requires a point of total mass 1")
     h = phibar_hessian(eta)
-    return h[:-1, :-1] - h[:-1, -1:] - h[-1:, :-1] + h[-1, -1]
+    out = h[:-1, :-1] - h[:-1, -1:]
+    out -= h[-1:, :-1]
+    out += h[-1, -1]
+    return out

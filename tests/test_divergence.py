@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -35,6 +36,14 @@ CHI2 = get_generator("chi2")
 HELLINGER = get_generator("hellinger")
 
 
+def kl_decimal(t):
+    """Reference: -log t + (t - 1) at the float t, to 50 digits."""
+    with localcontext() as ctx:
+        ctx.prec = 50
+        d = Decimal(float(t))
+        return -d.ln() + (d - 1)
+
+
 def kl_w_oracle(w1, w2):
     """Direct summation of the relative entropy rate for unit-row-sum inputs."""
     mu = perron(w1).left_vec
@@ -51,6 +60,13 @@ class TestGenerators:
 
     def test_kl_at_one(self):
         assert KL.eval(1.0) == 0.0
+
+    def test_kl_accurate_near_one(self):
+        near_one = [1.0 + sign * 10.0**-k for k in range(1, 13) for sign in (1, -1)]
+        for t in near_one + list(2.0 ** np.arange(-6.0, 7.0)):
+            expected = float(kl_decimal(t))
+            assert KL.eval(t) == pytest.approx(expected, rel=1e-14, abs=0)
+            assert KL.eval(np.array([t]))[0] == pytest.approx(expected, rel=1e-14, abs=0)
 
     def test_chi2_second_derivative(self):
         assert CHI2.deriv2(1.0) == 1.0
@@ -117,6 +133,17 @@ class TestGenerators:
         with pytest.raises(GeneratorInvalid, match="returns shape"):
             register_generator(constant)
 
+    def test_register_rejects_nan_generator(self):
+        # KL that returns NaN beyond t = 8: every comparison with NaN is false
+        nan_beyond_8 = StandardConvexFunction(
+            name="nan_beyond_8_test",
+            eval=lambda t: np.where(t > 8, np.nan, -np.log(t) + (t - 1.0)),
+            deriv1=lambda t: np.where(t > 8, np.nan, 1.0 - 1.0 / t),
+            deriv2=lambda t: 1.0 / t**2,
+        )
+        with pytest.raises(GeneratorInvalid):
+            register_generator(nan_beyond_8)
+
     def test_builtins_keep_input_shape(self):
         t = np.array([[0.5, 1.0, 2.0]])
         for gen in builtin_generators():
@@ -144,6 +171,21 @@ class TestFDivergence:
             g = random_graph(int(rng.integers(1, 8)), rng)
             f1, f2 = random_edge_function(g, rng), random_edge_function(g, rng)
             assert f_divergence(gen, f1, f2) == pytest.approx(per_edge_f_divergence(gen, f1, f2), rel=1e-14, abs=0)
+    def test_kl_close_arguments_match_decimal_reference(self):
+        # g = f (1 + 1e-7 noise): each generator term is about 1e-14, far
+        # below the -log t and t - 1 it would be the difference of
+        rng = make_rng(48)
+        g = random_graph(4, rng)
+        f = random_edge_function(g, rng)
+        near = EdgeFunction(g, f.values * (1.0 + 1e-7 * rng.standard_normal(g.num_edges)))
+        sd_f, sd_g = perron(f), perron(near)
+        ratio = (near.values / sd_g.root) / (f.values / sd_f.root)
+        weights = sd_f.left_vec[g.sources] * f.values
+        with localcontext() as ctx:
+            ctx.prec = 50
+            expected = sum(Decimal(float(w)) * kl_decimal(t) for w, t in zip(weights, ratio))
+        assert f_divergence(KL, f, near) == pytest.approx(float(expected), rel=1e-13, abs=0)
+
     def test_zero_on_rays(self):
         rng = make_rng(41)
         for gen in builtin_generators():

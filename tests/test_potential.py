@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -83,6 +84,16 @@ def ix_restricted_hessian(eta):
     last = eta.graph.num_edges - 1
     keep = list(range(last))
     return h[np.ix_(keep, keep)] - h[keep, last][:, None] - h[last, keep][None, :] + h[last, last]
+
+
+def loops_all_or_none(graph, self_loops):
+    """The graph with every self-loop added, or with every self-loop removed."""
+    n = graph.num_states
+    if self_loops:
+        edges = set(graph.edges) | {(x, x) for x in range(n)}
+    else:
+        edges = {(x, y) for x, y in graph.edges if x != y}
+    return build_graph(n, sorted(edges))
 
 
 def random_mass_one_point(graph, rng):
@@ -171,6 +182,30 @@ class TestHessian:
             g = build_graph(n, sorted(edges))
             eta = random_expectation_point(g, rng)
             np.testing.assert_allclose(phibar_hessian(eta), loop_hessian(eta), rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("self_loops", [True, False])
+    def test_exactly_symmetric(self, self_loops):
+        rng = make_rng(81 if self_loops else 82)
+        for _ in range(20):
+            g = loops_all_or_none(random_graph(int(rng.integers(1, 30)), rng), self_loops)
+            hess = phibar_hessian(random_expectation_point(g, rng))
+            assert np.array_equal(hess, hess.T)
+
+    def test_matches_loop_reference_dense_with_self_loops(self):
+        rng = make_rng(83)
+        g = loops_all_or_none(random_graph(24, rng), True)
+        assert g.num_edges >= 250
+        eta = random_expectation_point(g, rng)
+        np.testing.assert_allclose(phibar_hessian(eta), loop_hessian(eta), rtol=1e-12, atol=0)
+
+    def test_asymmetric_assembly_raises(self):
+        # out-edge lists that disagree with the source array put each state's
+        # row update on another state's rows
+        rng = make_rng(84)
+        g = build_graph(3, [(0, 0), (0, 1), (1, 2), (2, 0), (2, 1)])
+        swapped = dataclasses.replace(g, out_edges=tuple(reversed(g.out_edges)))
+        with pytest.raises(RuntimeError, match="not symmetric"):
+            phibar_hessian(random_expectation_point(swapped, rng))
 
     def test_kernel_is_radial(self):
         rng = make_rng(67)

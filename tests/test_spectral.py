@@ -137,6 +137,38 @@ class TestCertificate:
                 assert quotients.max() - quotients.min() <= BRACKET_TOL * sd.root
 
 
+class TestHardInputs:
+    def test_weak_edge_ring_with_chord_raises(self):
+        # the 121-state ring plus chord of TestPerron with one edge of 1e-20:
+        # eig's dominant vector is not positive, and perron must not return it
+        n, chord, skip = 121, 17, 36
+        g = build_graph(n, [(x, (x + 1) % n) for x in range(n)] + [(chord, (chord + skip) % n)])
+        values = np.ones(g.num_edges)
+        values[g.edge_index[(0, 1)]] = 1e-20
+        with pytest.raises(NoConvergence):
+            perron(EdgeFunction(g, values))
+
+    def test_weights_over_many_decades_raise_or_certify(self):
+        # log-normal weights with sigma = 10 span about 40 decades per graph
+        returned = 0
+        for seed in range(50):
+            rng = make_rng(seed)
+            g = random_graph(29, rng)
+            f = EdgeFunction(g, np.exp(10.0 * rng.standard_normal(g.num_edges)))
+            try:
+                sd = perron(f)
+            except NoConvergence:
+                continue
+            returned += 1
+            a = matrix_of(f)
+            assert sd.bracket_width <= BRACKET_TOL
+            assert np.max(np.abs(a @ sd.right_vec - sd.root * sd.right_vec)) <= 1e-9 * sd.root
+            assert np.max(np.abs(sd.left_vec @ a - sd.root * sd.left_vec)) <= 1e-9 * sd.root
+            for quotients in ((a @ sd.right_vec) / sd.right_vec, (sd.left_vec @ a) / sd.left_vec):
+                assert quotients.max() - quotients.min() <= BRACKET_TOL * sd.root
+        assert returned >= 40
+
+
 class TestStoredSpectralData:
     def test_computed_once_per_object(self, two_state):
         f = EdgeFunction(two_state, np.array([1.0, 2.0, 3.0, 4.0]))

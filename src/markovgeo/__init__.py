@@ -2,7 +2,6 @@
 
 from .coordinates import (
     ExpectationPoint,
-    in_marginal,
     in_marginals,
     is_in_M,
     is_in_Mtilde,
@@ -10,9 +9,9 @@ from .coordinates import (
     is_transition_probability,
     mass,
     normalize_to_measure,
-    out_marginal,
     out_marginals,
     scale_point,
+    stationarity_gap,
     taubar,
     tbar,
 )
@@ -38,6 +37,6 @@ from .inference import (
     sample_trajectory,
 )
 from .potential import phibar, phibar_gradient, phibar_hessian, phihat, restricted_hessian
-from .spectral import EdgeFunction, SpectralData, matrix_of, perron, root_derivative, scale
+from .spectral import EdgeFunction, SpectralData, matrix_of, perron, root_gradient, scale
 
 __version__ = "0.1.0"

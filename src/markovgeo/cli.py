@@ -17,7 +17,7 @@ import sys
 import numpy as np
 
 from . import coordinates, divergence, inference, potential, spectral, verify
-from .errors import MarkovGeoError, NoConvergence, NotTransitionProbability, ParseError, ProjectionNoConvergence
+from .errors import MarkovGeoError, NoConvergence, NotTransitionProbability, ParseError
 from .graph import parse_chain_file
 
 EXIT_OK = 0
@@ -34,7 +34,6 @@ _EXIT_CODES = {
     ValueError: EXIT_PARSE,
     KeyError: EXIT_PARSE,
     NoConvergence: EXIT_NOCONV,
-    ProjectionNoConvergence: EXIT_NOCONV,
     MarkovGeoError: EXIT_DOMAIN,
 }
 
@@ -138,7 +137,7 @@ def cmd_project(args) -> Report:
     report.add("projected", projected.values)
     report.add("iterations", trace.iterations)
     report.add("mass_residual", abs(coordinates.mass(projected) - 1.0))
-    report.add("stationarity_residual", inference.stationarity_gap(projected))
+    report.add("stationarity_residual", coordinates.stationarity_gap(projected))
     # Pythagorean residual at the starting point of the projection itself
     report.add("divergence_to_input", divergence.bregman_divergence(projected, eta))
     rng = np.random.Generator(np.random.PCG64(0))
@@ -192,9 +191,7 @@ def cmd_estimate(args) -> Report:
 
 
 def cmd_verify(args) -> Report:
-    results = verify.run_identity_suite(
-        seed=args.seed, max_d=args.graphs, cases=args.cases, inject_fault=args.inject_fault
-    )
+    results = verify.run_identity_suite(seed=args.seed, max_d=args.graphs, cases=args.cases)
     report = Report("verify")
     report.add("seed", args.seed)
     report.add("graphs", args.graphs)
@@ -259,7 +256,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--graphs", type=int, default=4, help="largest d; sizes cycle through 1..d")
     p.add_argument("--cases", type=int, default=50)
-    p.add_argument("--inject-fault", action="store_true", help=argparse.SUPPRESS)
     p.set_defaults(func=cmd_verify)
 
     return parser

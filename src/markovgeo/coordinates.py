@@ -13,17 +13,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import OutOfRangeState
+from .errors import NonpositiveScale
 from .graph import ChainGraph, frozen_array
 from .spectral import EdgeFunction, perron
 
 __all__ = [
     "ExpectationPoint",
     "mass",
-    "in_marginal",
-    "out_marginal",
     "in_marginals",
     "out_marginals",
+    "stationarity_gap",
     "tbar",
     "taubar",
     "is_transition_probability",
@@ -75,19 +74,9 @@ def out_marginals(eta: ExpectationPoint) -> np.ndarray:
     return np.bincount(eta.graph.sources, weights=eta.values, minlength=eta.graph.num_states)
 
 
-def _check_state(eta, x):
-    if not 0 <= x < eta.graph.num_states:
-        raise OutOfRangeState(f"state {x} outside [0, {eta.graph.num_states})")
-
-
-def in_marginal(eta: ExpectationPoint, x: int) -> float:
-    _check_state(eta, x)
-    return float(in_marginals(eta)[x])
-
-
-def out_marginal(eta: ExpectationPoint, x: int) -> float:
-    _check_state(eta, x)
-    return float(out_marginals(eta)[x])
+def stationarity_gap(eta: ExpectationPoint) -> float:
+    """Max absolute difference between outgoing and incoming marginals."""
+    return float(np.max(np.abs(out_marginals(eta) - in_marginals(eta))))
 
 
 def tbar(f: EdgeFunction) -> ExpectationPoint:
@@ -125,13 +114,11 @@ def is_in_Mtilde(eta: ExpectationPoint) -> bool:
 
 def is_in_M(eta: ExpectationPoint) -> bool:
     """Mass 1 and stationarity: outgoing and incoming marginals agree at every state."""
-    if not is_in_Mtilde(eta):
-        return False
-    return bool(np.max(np.abs(out_marginals(eta) - in_marginals(eta))) <= DEFAULT_TOL)
+    return is_in_Mtilde(eta) and stationarity_gap(eta) <= DEFAULT_TOL
 
 
 def scale_point(eta: ExpectationPoint, a: float) -> ExpectationPoint:
     """Pointwise rescaling of an expectation point."""
     if not a > 0:
-        raise ValueError(f"scale factor must be positive, got {a}")
+        raise NonpositiveScale(f"scale factor must be positive, got {a}")
     return ExpectationPoint(eta.graph, a * eta.values)

@@ -92,13 +92,18 @@ def _kl_eval(t):
     s = (t - 1)/(t + 1), log t = 2 sum_{k>=0} s^(2k+1)/(2k+1), so the value is
     2 s^2 (1/(1 - s) - sum_{k>=1} s^(2k-1)/(2k+1)), whose first 7 terms leave
     less than 1e-16 relative for |s| <= 0.1."""
+    t = np.asarray(t, dtype=float)
     s = (t - 1.0) / (t + 1.0)
-    s2 = s * s
-    tail = 1.0 / 15.0
-    for k in range(6, 0, -1):
-        tail = tail * s2 + 1.0 / (2 * k + 1)
-    series = 2.0 * s2 * (1.0 / (1.0 - s) - s * tail)
-    return np.where(np.abs(s) <= 0.1, series, -np.log(t) + (t - 1.0))[()]
+    value = np.asarray(-np.log(t) + (t - 1.0))
+    near = np.abs(s) <= 0.1
+    if near.any():
+        s = s[near]
+        s2 = s * s
+        tail = 1.0 / 15.0
+        for k in range(6, 0, -1):
+            tail = tail * s2 + 1.0 / (2 * k + 1)
+        value[near] = 2.0 * s2 * (1.0 / (1.0 - s) - s * tail)
+    return value[()]
 
 
 _KL = StandardConvexFunction(
@@ -208,7 +213,7 @@ def induced_tensor(gen: StandardConvexFunction, f: EdgeFunction, x_vec, y_vec) -
     del gen
     sd = perron(f)
     r = sd.root
-    dr = root_gradient(f, sd)
+    dr = root_gradient(f)
 
     def jac(vec):
         return (r * vec - f.values * (dr @ vec)) / r**2
@@ -230,7 +235,7 @@ def induced_tensor_gram(gen: StandardConvexFunction, f: EdgeFunction) -> np.ndar
     r = sd.root
     weights = _tensor_weights(f, sd)
     a = weights * f.values
-    g = root_gradient(f, sd) / r**2
+    g = root_gradient(f) / r**2
     h = 0.5 * float(a @ f.values) * g - a / r
     gram = np.column_stack((g, h)) @ np.column_stack((h, g)).T
     gram[np.diag_indices_from(gram)] += weights / r**2
@@ -296,7 +301,7 @@ def null_space_dimension(gen: StandardConvexFunction, f: EdgeFunction, tol: floa
     sd = perron(f)
     r = sd.root
     w = _tensor_weights(f, sd)
-    dr = root_gradient(f, sd)
+    dr = root_gradient(f)
     count = _inertia_counter(r, w, f.values, dr)
     a = w * f.values
     diagonal = r**2 * w - 2.0 * r * a * dr + float(a @ f.values) * dr * dr

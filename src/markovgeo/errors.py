@@ -34,9 +34,10 @@ class ParseError(MarkovGeoError):
 
 
 class NoConvergence(MarkovGeoError):
-    """The eigensolver failed, returned no strictly positive Perron vector, or
-    left a Collatz-Wielandt bracket wider than spectral.BRACKET_TOL after its
-    Newton step (the Newton solve itself may fail too)."""
+    """A numerical routine did not reach its tolerance: the eigensolver failed,
+    returned no strictly positive Perron vector, or left a Collatz-Wielandt
+    bracket wider than spectral.BRACKET_TOL after its Newton step (the Newton
+    solve itself may fail too); or project_to_M used up its iteration budget."""
 
 
 class NonpositiveScale(MarkovGeoError):
@@ -73,7 +74,3 @@ class UnvisitedState(MarkovGeoError):
     def __init__(self, states):
         self.states = tuple(states)
         super().__init__(f"states with no outgoing transition in trajectory: {self.states}")
-
-
-class ProjectionNoConvergence(MarkovGeoError):
-    pass

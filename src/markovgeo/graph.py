@@ -49,9 +49,9 @@ class ChainGraph:
     num_states: int
     edges: tuple[tuple[int, int], ...]
     edge_index: Mapping[tuple[int, int], int] = field(compare=False, repr=False)
-    out_edges: tuple[tuple[int, ...], ...] = field(compare=False, repr=False)
-    in_edges: tuple[tuple[int, ...], ...] = field(compare=False, repr=False)
-    # per-edge source/target state arrays, for vectorized gathers
+    # per-edge source/target state arrays, for vectorized gathers; sources is
+    # sorted, so the out-edges of x are the slice [start[x], start[x + 1]) with
+    # start = np.searchsorted(sources, np.arange(num_states + 1))
     sources: np.ndarray = field(compare=False, repr=False)
     targets: np.ndarray = field(compare=False, repr=False)
 
@@ -132,17 +132,10 @@ def build_graph(num_states: int, edges) -> ChainGraph:
         raise NotStronglyConnected(witness)
 
     ordered = tuple(sorted(edges))
-    out_lists = [[] for _ in range(num_states)]
-    in_lists = [[] for _ in range(num_states)]
-    for k, (x, y) in enumerate(ordered):
-        out_lists[x].append(k)
-        in_lists[y].append(k)
     return ChainGraph(
         num_states=num_states,
         edges=ordered,
         edge_index=MappingProxyType({edge: k for k, edge in enumerate(ordered)}),
-        out_edges=tuple(tuple(v) for v in out_lists),
-        in_edges=tuple(tuple(v) for v in in_lists),
         sources=frozen_array([x for x, _ in ordered], np.intp),
         targets=frozen_array([y for _, y in ordered], np.intp),
     )

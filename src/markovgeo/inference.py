@@ -14,20 +14,18 @@ import numpy as np
 
 from .coordinates import (
     ExpectationPoint,
-    in_marginals,
     is_in_M,
     is_in_Mtilde,
     is_positive_transition_measure,
     is_transition_probability,
-    out_marginals,
     taubar,
     tbar,
 )
 from .divergence import StandardConvexFunction, f_divergence
 from .errors import (
+    NoConvergence,
     NotInMtilde,
     NotTransitionProbability,
-    ProjectionNoConvergence,
     UnobservedEdge,
     UnvisitedState,
 )
@@ -43,7 +41,6 @@ __all__ = [
     "project_to_M",
     "ProjectionTrace",
     "goodness_of_fit_statistic",
-    "stationarity_gap",
 ]
 
 
@@ -99,14 +96,14 @@ def sample_trajectory(w: EdgeFunction, n: int, seed: int, initial="stationary") 
     # of breaks, the union of all rows' breakpoints, so rows[x][j] = the search
     # at the lower end of interval j gives the same successor, ties included.
     # The interval above 1.0 is clamped to the last successor; no u reaches it.
+    start = np.searchsorted(graph.sources, np.arange(graph.num_states + 1))
     cumulative = []
     successors = []
     for x in range(graph.num_states):
-        positions = graph.out_edges[x]
-        probs = np.cumsum([w.values[k] for k in positions])
+        probs = np.cumsum(w.values[start[x] : start[x + 1]])
         probs[-1] = 1.0
         cumulative.append(probs.tolist())
-        successors.append([graph.edges[k][1] for k in positions])
+        successors.append(graph.targets[start[x] : start[x + 1]].tolist())
     breaks = sorted(set().union(*cumulative))
     lower_ends = [-1.0] + breaks
     rows = [
@@ -169,14 +166,11 @@ class ProjectionTrace:
 
 def _stationary_tangent_basis(graph: ChainGraph) -> np.ndarray:
     """Orthonormal basis of {v : sum v = 0 and out-in balance at every state}."""
-    n = graph.num_edges
-    constraints = np.zeros((1 + graph.num_states, n))
+    edges = np.arange(graph.num_edges)
+    constraints = np.zeros((1 + graph.num_states, graph.num_edges))
     constraints[0, :] = 1.0
-    for x in range(graph.num_states):
-        for k in graph.out_edges[x]:
-            constraints[1 + x, k] += 1.0
-        for k in graph.in_edges[x]:
-            constraints[1 + x, k] -= 1.0
+    np.add.at(constraints, (1 + graph.sources, edges), 1.0)
+    np.add.at(constraints, (1 + graph.targets, edges), -1.0)
     _, singular, vt = np.linalg.svd(constraints)
     rank = int(np.count_nonzero(singular > 1e-12 * singular[0]))
     return vt[rank:].T
@@ -184,20 +178,23 @@ def _stationary_tangent_basis(graph: ChainGraph) -> np.ndarray:
 
 def _uniform_stationary_point(graph: ChainGraph) -> ExpectationPoint:
     """Interior point of M: image of the row-uniform transition probability."""
-    values = np.array([1.0 / len(graph.out_edges[x]) for x in graph.sources])
-    return tbar(EdgeFunction(graph, values))
+    out_degree = np.bincount(graph.sources)
+    return tbar(EdgeFunction(graph, 1.0 / out_degree[graph.sources]))
 
 
-def project_to_M(
-    eta: ExpectationPoint,
-    tol: float = 1e-9,
-    max_iter: int = 10**5,
-    with_trace: bool = False,
-):
+# project_to_M stops when the reduced gradient's norm falls below PROJECTION_TOL;
+# it runs at most GRADIENT_MAX_ITER gradient steps, then NEWTON_MAX_ITER Newton steps
+PROJECTION_TOL = 1e-9
+GRADIENT_MAX_ITER = 10**5
+NEWTON_MAX_ITER = 100
+
+
+def project_to_M(eta: ExpectationPoint, with_trace: bool = False):
     """Bregman projection of eta onto M, minimizing the first argument.
 
     Projected gradient descent on the affine subspace of M with Armijo
-    backtracking; coordinates are kept >= 1e-12 by step clipping.
+    backtracking, then a damped Newton polish; coordinates are kept >= 1e-12
+    by step clipping. NoConvergence if the polish ends above PROJECTION_TOL.
     """
     if not is_in_Mtilde(eta):
         raise NotInMtilde("projection input must satisfy the normalization condition")
@@ -231,8 +228,8 @@ def project_to_M(
     # Armijo comparisons lose meaning once the certified decrease t*|g|^2 drops
     # below float resolution of the objective; from there a damped Newton
     # polish (below) carries the iterate to the gradient tolerance.
-    polish_at = max(tol, 1e-6)
-    for _ in range(max_iter):
+    polish_at = max(PROJECTION_TOL, 1e-6)
+    for _ in range(GRADIENT_MAX_ITER):
         grad = reduced_gradient(current)
         grad_norm = float(np.linalg.norm(grad))
         if grad_norm < polish_at:
@@ -247,15 +244,16 @@ def project_to_M(
                 break
             t *= 0.5
             if t < 1e-18:
+                candidate = current + t * direction
+                cand_obj = objective(candidate)
                 break
         step = t
-        current = current + t * direction
-        obj = objective(current)
+        current, obj = candidate, cand_obj
         history.append(obj)
         iterations += 1
-    for _ in range(100):
+    for _ in range(NEWTON_MAX_ITER):
         grad = reduced_gradient(current)
-        if float(np.linalg.norm(grad)) < tol:
+        if float(np.linalg.norm(grad)) < PROJECTION_TOL:
             converged = True
             break
         hess = basis.T @ phibar_hessian(ExpectationPoint(graph, current)) @ basis
@@ -265,7 +263,7 @@ def project_to_M(
         history.append(objective(current))
         iterations += 1
     if not converged:
-        raise ProjectionNoConvergence(f"projection did not reach gradient norm {tol} in {max_iter} iterations")
+        raise NoConvergence(f"projection did not reach gradient norm {PROJECTION_TOL:g} in {iterations} iterations")
     result = ExpectationPoint(graph, current)
     if with_trace:
         return result, ProjectionTrace(iterations=iterations, objective_values=np.array(history))
@@ -284,8 +282,3 @@ def goodness_of_fit_statistic(
     if not (is_transition_probability(model) or is_positive_transition_measure(model)):
         raise NotTransitionProbability("model must have unit row sums or unit root")
     return 2.0 * (n - 1) * f_divergence(gen, taubar(empirical), model)
-
-
-def stationarity_gap(eta: ExpectationPoint) -> float:
-    """Max absolute difference between outgoing and incoming marginals."""
-    return float(np.max(np.abs(out_marginals(eta) - in_marginals(eta))))

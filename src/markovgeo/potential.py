@@ -54,8 +54,9 @@ def phibar_hessian(eta: ExpectationPoint) -> np.ndarray:
     around = into * (out_marginals(eta)[:, None] * inv_in) - (g.sources == states) * inv_in
     h = around[g.targets]
     # edges are sorted by source, so the rows of a state's out-edges are one slice
-    for x, out_x in enumerate(g.out_edges):
-        h[out_x[0] : out_x[-1] + 1] -= into[x]
+    start = np.searchsorted(g.sources, np.arange(g.num_states + 1))
+    for x in range(g.num_states):
+        h[start[x] : start[x + 1]] -= into[x]
     h.flat[:: g.num_edges + 1] += 1.0 / eta.values
     if not np.array_equal(h, h.T):
         raise RuntimeError("Hessian assembly is not symmetric")

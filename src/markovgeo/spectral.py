@@ -23,7 +23,7 @@ import numpy as np
 from .errors import BoundaryFunction, GraphMismatch, NoConvergence, NonpositiveScale
 from .graph import ChainGraph, frozen_array
 
-__all__ = ["EdgeFunction", "SpectralData", "matrix_of", "perron", "root_derivative", "scale"]
+__all__ = ["EdgeFunction", "SpectralData", "matrix_of", "perron", "root_gradient", "scale"]
 
 # Largest relative width of the Collatz-Wielandt bracket a solve may return.
 BRACKET_TOL = 1e-9
@@ -171,21 +171,12 @@ def perron(f: EdgeFunction) -> SpectralData:
     return f._spectral
 
 
-def root_derivative(f: EdgeFunction, edge: tuple[int, int]) -> float:
-    """Partial derivative of the root with respect to the weight on one edge:
-    its entry of root_gradient. KeyError if (s, t) is not an edge."""
-    s, t = edge
-    if (s, t) not in f.graph.edge_index:
-        raise KeyError(f"({s}, {t}) is not an edge")
-    return float(root_gradient(f)[f.graph.edge_index[(s, t)]])
-
-
-def root_gradient(f: EdgeFunction, spectral: SpectralData | None = None) -> np.ndarray:
-    """All edge partials of the root at once, in canonical edge order.
+def root_gradient(f: EdgeFunction) -> np.ndarray:
+    """Partial derivatives of the root in every edge weight, in canonical edge order.
 
     First-order eigenvalue perturbation: d r / d A_st = mu_s v_t / (mu . v).
     """
-    sd = spectral if spectral is not None else perron(f)
+    sd = perron(f)
     g = f.graph
     return sd.left_vec[g.sources] * sd.right_vec[g.targets] / (sd.left_vec @ sd.right_vec)
 

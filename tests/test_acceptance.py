@@ -34,11 +34,11 @@ from markovgeo import (
     sample_trajectory,
     scale,
     scale_point,
+    stationarity_gap,
     taubar,
     tbar,
 )
 from markovgeo.graph import build_graph
-from markovgeo.inference import stationarity_gap
 from markovgeo.verify import (
     random_edge_function,
     random_graph,
@@ -47,6 +47,7 @@ from markovgeo.verify import (
 
 from conftest import make_rng
 from test_divergence import fd_contrast_tensor
+from test_inference import best_on_grid, coarse_grid, refine_grid
 from test_potential import printed_hessian_3x3, printed_hessian_4x4
 
 KL = get_generator("kl")
@@ -260,26 +261,9 @@ def test_acceptance_9_projection_suite(emit):
         # dense grid-search oracle on the 2-state fixture
         eta = ExpectationPoint(TWO_STATE, np.array([0.3, 0.3, 0.2, 0.2]))
         projected = project_to_M(eta)
-        best = (np.inf, None)
-        for a in np.arange(1e-3, 1.0, 1e-3):
-            for b in np.arange(1e-3, (1.0 - a) / 2, 1e-3):
-                last = 1.0 - a - 2 * b
-                if last <= 1e-4:
-                    continue
-                cand = ExpectationPoint(TWO_STATE, np.array([a, b, b, last]))
-                value = bregman_divergence(cand, eta)
-                if value < best[0]:
-                    best = (value, cand.values)
+        best = best_on_grid(eta, *coarse_grid(1e-3))
         a0, b0 = best[1][0], best[1][1]
-        for a in np.arange(a0 - 2e-3, a0 + 2e-3, 2e-5):
-            for b in np.arange(b0 - 2e-3, b0 + 2e-3, 2e-5):
-                last = 1.0 - a - 2 * b
-                if min(a, b, last) <= 0:
-                    continue
-                cand = ExpectationPoint(TWO_STATE, np.array([a, b, b, last]))
-                value = bregman_divergence(cand, eta)
-                if value < best[0]:
-                    best = (value, cand.values)
+        best = best_on_grid(eta, *refine_grid(a0, b0, 2e-5), best)
         assert np.max(np.abs(projected.values - best[1])) <= 1e-4
 
 

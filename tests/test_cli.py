@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from markovgeo import inference, verify
 from markovgeo.cli import main
 
 
@@ -173,6 +174,17 @@ class TestProjectCommand:
         code, _, err = run(capsys, "project", path)
         assert code == 3
 
+    def test_budget_exhausted_exits_4(self, capsys, chain_file, monkeypatch):
+        monkeypatch.setattr(inference, "GRADIENT_MAX_ITER", 1)
+        monkeypatch.setattr(inference, "NEWTON_MAX_ITER", 1)
+        path = chain_file(
+            "skew_eta.chain",
+            "states 2\nmode expectation\nedge 0 0 0.3\nedge 0 1 0.3\nedge 1 0 0.2\nedge 1 1 0.2\n",
+        )
+        code, _, err = run(capsys, "project", path)
+        assert code == 4
+        assert "projection did not reach gradient norm" in err
+
 
 class TestSampleCommand:
     def test_deterministic_cycle(self, capsys, chain_file):
@@ -225,8 +237,11 @@ class TestVerifyCommand:
         assert code == 0
         assert kv(out)["status"] == "ok"
 
-    def test_injected_fault_fails(self, capsys):
-        code, out, _ = run(capsys, "verify", "--seed", "5", "--cases", "5", "--inject-fault")
+    def test_injected_fault_fails(self, capsys, monkeypatch):
+        # negative control: the suite must catch deliberately broken Hessian entries
+        hessian = verify.phibar_hessian
+        monkeypatch.setattr(verify, "phibar_hessian", lambda eta: hessian(eta) + 1e-3)
+        code, out, _ = run(capsys, "verify", "--seed", "5", "--cases", "5")
         assert code == 5
         report = kv(out)
         assert report["hessian_pass"] == "no"

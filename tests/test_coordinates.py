@@ -4,22 +4,21 @@ import pytest
 from markovgeo import (
     EdgeFunction,
     ExpectationPoint,
-    in_marginal,
+    in_marginals,
     is_in_M,
     is_in_Mtilde,
     is_positive_transition_measure,
     is_transition_probability,
     mass,
     normalize_to_measure,
-    out_marginal,
+    out_marginals,
     perron,
     scale,
     scale_point,
     taubar,
     tbar,
 )
-from markovgeo.coordinates import in_marginals, out_marginals
-from markovgeo.errors import OutOfRangeState
+from markovgeo.errors import NonpositiveScale
 from markovgeo.verify import (
     random_edge_function,
     random_expectation_point,
@@ -41,7 +40,7 @@ class TestExpectationPointValue:
         eta = ExpectationPoint(two_state, arr)
         arr[:] = 0.25
         np.testing.assert_array_equal(eta.values, [0.1, 0.2, 0.3, 0.4])
-        assert in_marginal(eta, 0) == pytest.approx(0.4, abs=1e-15)
+        assert in_marginals(eta)[0] == pytest.approx(0.4, abs=1e-15)
 
     @pytest.mark.parametrize("bad", [0.0, -0.1, np.nan, np.inf, -np.inf])
     def test_rejects_nonpositive_or_nonfinite(self, two_state, bad):
@@ -66,11 +65,19 @@ class TestMass:
     def test_linearity(self, uniform_point):
         assert mass(scale_point(uniform_point, 3.5)) == pytest.approx(3.5, rel=1e-15)
 
+    @pytest.mark.parametrize("factor", [0.0, -1.0, np.nan])
+    def test_nonpositive_factor_rejected_like_scale(self, two_state, uniform_point, factor):
+        # both rescalings reject a factor that is not positive with one error type
+        with pytest.raises(NonpositiveScale):
+            scale_point(uniform_point, factor)
+        with pytest.raises(NonpositiveScale):
+            scale(EdgeFunction(two_state, np.ones(4)), factor)
+
 
 class TestMarginals:
     def test_uniform(self, uniform_point):
-        assert in_marginal(uniform_point, 0) == pytest.approx(0.5)
-        assert out_marginal(uniform_point, 0) == pytest.approx(0.5)
+        assert in_marginals(uniform_point)[0] == pytest.approx(0.5)
+        assert out_marginals(uniform_point)[0] == pytest.approx(0.5)
 
     def test_double_counting(self):
         rng = make_rng(31)
@@ -88,12 +95,6 @@ class TestMarginals:
             np.testing.assert_allclose(
                 in_marginals(tbar(f)), sd.root * sd.left_vec, rtol=1e-10
             )
-
-    def test_out_of_range(self, uniform_point):
-        with pytest.raises(OutOfRangeState):
-            in_marginal(uniform_point, 2)
-        with pytest.raises(OutOfRangeState):
-            out_marginal(uniform_point, -1)
 
 
 class TestCharts:

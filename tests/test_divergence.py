@@ -397,7 +397,7 @@ def dense_jacobian_reference(f):
     """Jacobian of a |-> a / r(a) at f as a dense matrix: J = (r I - f grad_r^T) / r^2."""
     sd = perron(f)
     r = sd.root
-    return (r * np.eye(f.graph.num_edges) - np.outer(f.values, root_gradient(f, sd))) / r**2
+    return (r * np.eye(f.graph.num_edges) - np.outer(f.values, root_gradient(f))) / r**2
 
 
 def dense_weights_reference(f):
@@ -472,7 +472,7 @@ class TestStructuredTensor:
         # eigenvalue and any count at it is rounding
         for f in TWO_STATE_CASES + DENSE_CASES[:1]:
             sd = perron(f)
-            r, weights, dr = sd.root, dense_weights_reference(f), root_gradient(f, sd)
+            r, weights, dr = sd.root, dense_weights_reference(f), root_gradient(f)
             count = _inertia_counter(r, weights, f.values, dr)
             p_mat = r * np.eye(f.graph.num_edges) - np.outer(f.values, dr)
             eigenvalues = np.linalg.eigvalsh(p_mat.T @ (weights[:, None] * p_mat))

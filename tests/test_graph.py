@@ -109,19 +109,21 @@ class TestStronglyConnected:
 
 class TestIndexMaps:
     def test_out_and_in_lists_partition_edges(self):
+        # the out-edges of x are the slice [start[x], start[x + 1]) of the
+        # sorted sources; its in-edges are where targets == x
         rng = make_rng(13)
         for _ in range(20):
             g = random_graph(int(rng.integers(1, 7)), rng)
-            out_all = sorted(k for lst in g.out_edges for k in lst)
-            in_all = sorted(k for lst in g.in_edges for k in lst)
-            assert out_all == list(range(g.num_edges))
+            start = np.searchsorted(g.sources, np.arange(g.num_states + 1))
+            assert start[0] == 0 and start[-1] == g.num_edges
+            in_all = sorted(k for x in range(g.num_states) for k in np.flatnonzero(g.targets == x))
             assert in_all == list(range(g.num_edges))
             for x in range(g.num_states):
-                assert all(g.edges[k][0] == x for k in g.out_edges[x])
-                assert all(g.edges[k][1] == x for k in g.in_edges[x])
+                assert all(g.edges[k][0] == x for k in range(start[x], start[x + 1]))
+                assert all(g.edges[k][1] == x for k in np.flatnonzero(g.targets == x))
             # every state appears as both a source and a target
-            assert all(len(lst) > 0 for lst in g.out_edges)
-            assert all(len(lst) > 0 for lst in g.in_edges)
+            assert np.all(np.diff(start) > 0)
+            assert np.all(np.bincount(g.targets, minlength=g.num_states) > 0)
 
 
 class TestGraphValue:

@@ -20,15 +20,18 @@ from markovgeo import (
     taubar,
     tbar,
 )
+from markovgeo import inference
 from markovgeo.errors import (
     BoundaryFunction,
+    NoConvergence,
     NotInMtilde,
     NotTransitionProbability,
     UnobservedEdge,
     UnvisitedState,
 )
-from markovgeo.inference import _pair_counts, stationarity_gap
-from markovgeo.potential import phibar_gradient
+from markovgeo.coordinates import stationarity_gap
+from markovgeo.inference import _pair_counts
+from markovgeo.potential import phibar, phibar_gradient
 from markovgeo.verify import random_graph, random_transition_probability
 
 from conftest import make_rng
@@ -112,7 +115,7 @@ def reference_sample_states(w, n, seed, initial="stationary"):
     cumulative = []
     successors = []
     for x in range(graph.num_states):
-        positions = graph.out_edges[x]
+        positions = [k for k, (s, _) in enumerate(graph.edges) if s == x]
         probs = np.cumsum([w.values[k] for k in positions])
         probs[-1] = 1.0
         cumulative.append(probs.tolist())
@@ -241,26 +244,47 @@ class TestMleTransition:
         assert np.max(np.abs(est.values - skewed_w.values)) <= 0.02
 
 
-def grid_search_projection(eta_values, resolution):
-    """Brute-force oracle for the 2-state fixture: M = {(a, b, b, 1-a-2b)}."""
-    g = eta_values  # target in the Bregman divergence second slot
-    graph_eta = None
-    best = (np.inf, None)
-    a_grid = np.arange(resolution, 1.0, resolution)
-    from markovgeo.graph import build_graph
+def bregman_rows(eta, points):
+    """D(x || eta) for every row x of points, from the definitions:
+    phibar(x) = sum_st x_st log x_st - sum_s x_s log x^s, with the outgoing and
+    incoming marginals x_s and x^s, and
+    D(x || eta) = phibar(x) - phibar(eta) - grad phibar(eta) . (x - eta)."""
+    g = eta.graph
+    states = np.arange(g.num_states)
+    out = points @ (g.sources[:, None] == states)
+    into = points @ (g.targets[:, None] == states)
+    phi = np.sum(points * np.log(points), axis=1) - np.sum(out * np.log(into), axis=1)
+    return phi - phibar(eta) - (points - eta.values) @ phibar_gradient(eta)
 
-    graph = build_graph(2, [(0, 0), (0, 1), (1, 0), (1, 1)])
-    eta = ExpectationPoint(graph, np.asarray(eta_values, dtype=float))
-    for a in a_grid:
-        for b in np.arange(resolution, (1.0 - a) / 2, resolution):
-            last = 1.0 - a - 2 * b
-            if last <= resolution / 10:
-                continue
-            cand = ExpectationPoint(graph, np.array([a, b, b, last]))
-            value = bregman_divergence(cand, eta)
-            if value < best[0]:
-                best = (value, cand.values)
-    return best[1]
+
+def coarse_grid(resolution):
+    """Pairs (a, b) of the 2-state fixture's M = {(a, b, b, 1 - a - 2b)}: a and b
+    on multiples of resolution, keeping 1 - a - 2b above resolution / 10."""
+    a_grid = np.arange(resolution, 1.0, resolution)
+    b_grids = [np.arange(resolution, (1.0 - a) / 2, resolution) for a in a_grid]
+    a = np.repeat(a_grid, [b.size for b in b_grids])
+    b = np.concatenate(b_grids)
+    keep = 1.0 - a - 2 * b > resolution / 10
+    return a[keep], b[keep]
+
+
+def refine_grid(a0, b0, step):
+    """Pairs (a, b) within 2e-3 of (a0, b0) on the given step, all coordinates positive."""
+    a, b = np.meshgrid(
+        np.arange(a0 - 2e-3, a0 + 2e-3, step), np.arange(b0 - 2e-3, b0 + 2e-3, step), indexing="ij"
+    )
+    a, b = a.ravel(), b.ravel()
+    keep = np.minimum(np.minimum(a, b), 1.0 - a - 2 * b) > 0
+    return a[keep], b[keep]
+
+
+def best_on_grid(eta, a, b, best=(np.inf, None)):
+    """(value, point) of the grid point (a, b, b, 1 - a - 2b) nearest to eta in
+    D(. || eta), the first of equal values; best if none is strictly below it."""
+    points = np.column_stack((a, b, b, 1.0 - a - 2 * b))
+    values = bregman_rows(eta, points)
+    k = int(np.argmin(values))
+    return (values[k], points[k]) if values[k] < best[0] else best
 
 
 class TestProjectToM:
@@ -273,20 +297,10 @@ class TestProjectToM:
     def test_matches_grid_search_oracle(self, two_state):
         eta = ExpectationPoint(two_state, np.array([0.3, 0.3, 0.2, 0.2]))
         projected = project_to_M(eta)
-        coarse = grid_search_projection(eta.values, 1e-3)
+        _, coarse = best_on_grid(eta, *coarse_grid(1e-3))
         # refine around the coarse optimum at 1e-5
-        a0, b0 = coarse[0], coarse[1]
-        best = (np.inf, None)
-        for a in np.arange(a0 - 2e-3, a0 + 2e-3, 1e-5):
-            for b in np.arange(b0 - 2e-3, b0 + 2e-3, 1e-5):
-                last = 1.0 - a - 2 * b
-                if min(a, b, last) <= 0:
-                    continue
-                cand = ExpectationPoint(two_state, np.array([a, b, b, last]))
-                value = bregman_divergence(cand, eta)
-                if value < best[0]:
-                    best = (value, cand.values)
-        np.testing.assert_allclose(projected.values, best[1], atol=1e-4)
+        _, best = best_on_grid(eta, *refine_grid(coarse[0], coarse[1], 1e-5))
+        np.testing.assert_allclose(projected.values, best, atol=1e-4)
 
     def test_constraints_satisfied(self):
         rng = make_rng(91)
@@ -331,6 +345,12 @@ class TestProjectToM:
     def test_requires_mass_one(self, two_state):
         with pytest.raises(NotInMtilde):
             project_to_M(ExpectationPoint(two_state, np.full(4, 0.5)))
+
+    def test_budget_exhausted_raises_no_convergence(self, two_state, monkeypatch):
+        monkeypatch.setattr(inference, "GRADIENT_MAX_ITER", 1)
+        monkeypatch.setattr(inference, "NEWTON_MAX_ITER", 1)
+        with pytest.raises(NoConvergence, match="did not reach gradient norm"):
+            project_to_M(ExpectationPoint(two_state, np.array([0.3, 0.3, 0.2, 0.2])))
 
     def test_estimators_converge_to_each_other(self, skewed_w):
         t = sample_trajectory(skewed_w, 10**5, seed=90)

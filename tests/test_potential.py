@@ -199,11 +199,11 @@ class TestHessian:
         np.testing.assert_allclose(phibar_hessian(eta), loop_hessian(eta), rtol=1e-12, atol=0)
 
     def test_asymmetric_assembly_raises(self):
-        # out-edge lists that disagree with the source array put each state's
-        # row update on another state's rows
+        # unsorted sources give out-edge slices that are not the states' rows,
+        # so each state's row update lands on other rows
         rng = make_rng(84)
         g = build_graph(3, [(0, 0), (0, 1), (1, 2), (2, 0), (2, 1)])
-        swapped = dataclasses.replace(g, out_edges=tuple(reversed(g.out_edges)))
+        swapped = dataclasses.replace(g, sources=g.sources[::-1].copy())
         with pytest.raises(RuntimeError, match="not symmetric"):
             phibar_hessian(random_expectation_point(swapped, rng))
 

@@ -3,11 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from markovgeo import EdgeFunction, build_graph, matrix_of, perron, root_derivative, scale
+from markovgeo import EdgeFunction, build_graph, matrix_of, perron, root_gradient, scale
 from markovgeo.cli import EXIT_NOCONV, main
 from markovgeo.errors import BoundaryFunction, NoConvergence, NonpositiveScale
 from markovgeo import spectral
-from markovgeo.spectral import BRACKET_TOL, root_gradient
+from markovgeo.spectral import BRACKET_TOL
 from markovgeo.verify import random_edge_function, random_graph, random_transition_probability
 
 from conftest import make_rng
@@ -224,14 +224,14 @@ class TestRootDerivative:
         # closed-form root is (x + w + sqrt((x-w)^2 + 4yz)) / 2; its partial in x
         # at (1,1,1,1) is 1/2, confirmed by the finite-difference oracle below.
         f = EdgeFunction(two_state, np.ones(4))
-        assert root_derivative(f, (0, 0)) == pytest.approx(0.5, abs=1e-10)
+        assert root_gradient(f)[0] == pytest.approx(0.5, abs=1e-10)
         h = 1e-6
         bumped = np.ones(4)
         bumped[0] += h
         dipped = np.ones(4)
         dipped[0] -= h
         fd = (perron(EdgeFunction(two_state, bumped)).root - perron(EdgeFunction(two_state, dipped)).root) / (2 * h)
-        assert root_derivative(f, (0, 0)) == pytest.approx(fd, rel=1e-8)
+        assert root_gradient(f)[0] == pytest.approx(fd, rel=1e-8)
 
     def test_matches_finite_differences(self):
         rng = make_rng(25)
@@ -246,7 +246,7 @@ class TestRootDerivative:
             down = f.values.copy()
             down[k] -= h
             fd = (perron(EdgeFunction(g, up)).root - perron(EdgeFunction(g, down)).root) / (2 * h)
-            assert root_derivative(f, edge) == pytest.approx(fd, rel=1e-5)
+            assert root_gradient(f)[k] == pytest.approx(fd, rel=1e-5)
 
     def test_scale_invariance_of_gradient(self):
         rng = make_rng(26)
@@ -254,8 +254,8 @@ class TestRootDerivative:
         f = random_edge_function(g, rng)
         for a in (0.3, 2.0, 7.5):
             scaled = scale(f, a)
-            for edge in (g.edges[0], g.edges[-1]):
-                assert root_derivative(scaled, edge) == pytest.approx(root_derivative(f, edge), rel=1e-9)
+            for k in (0, g.num_edges - 1):
+                assert root_gradient(scaled)[k] == pytest.approx(root_gradient(f)[k], rel=1e-9)
 
     def test_euler_sum_rule(self):
         rng = make_rng(27)
@@ -263,12 +263,13 @@ class TestRootDerivative:
             g = random_graph(int(rng.integers(1, 7)), rng)
             f = random_edge_function(g, rng)
             sd = perron(f)
-            assert float(f.values @ root_gradient(f, sd)) == pytest.approx(sd.root, rel=1e-10)
+            assert float(f.values @ root_gradient(f)) == pytest.approx(sd.root, rel=1e-10)
 
     def test_unknown_edge(self, two_cycle):
+        # an edge's partial is looked up through the graph's index map
         f = EdgeFunction(two_cycle, np.array([1.0, 1.0]))
         with pytest.raises(KeyError):
-            root_derivative(f, (0, 0))
+            root_gradient(f)[f.graph.edge_index[(0, 0)]]
 
 
 class TestScale:

@@ -102,6 +102,8 @@ def cmd_divergence(args) -> Report:
     report.add("file_g", args.file_g)
     report.add("generator", gen.name)
     report.add("d_f", divergence.f_divergence(gen, f, g))
+    report.add("bracket_width_f", spectral.perron(f).bracket_width)
+    report.add("bracket_width_g", spectral.perron(g).bracket_width)
     if coordinates.is_transition_probability(f) and coordinates.is_transition_probability(g):
         report.add("nagaoka", divergence.nagaoka_divergence(f, g))
     report.add("status", "ok")

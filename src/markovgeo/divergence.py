@@ -15,8 +15,8 @@ from typing import Callable
 import numpy as np
 
 from .coordinates import ExpectationPoint, in_marginals, mass, out_marginals, is_transition_probability
-from .errors import GeneratorInvalid, GraphMismatch, NotTransitionProbability
-from .spectral import EdgeFunction, perron, require_same_graph, root_gradient
+from .errors import GeneratorInvalid, GraphMismatch, NoConvergence, NotTransitionProbability
+from .spectral import EdgeFunction, perron, require_interior, require_same_graph, root_gradient
 
 __all__ = [
     "StandardConvexFunction",
@@ -170,6 +170,7 @@ def nagaoka_divergence(w1: EdgeFunction, w2: EdgeFunction) -> float:
     """Relative entropy rate between two transition probabilities."""
     graph = require_same_graph(w1, w2)
     for w in (w1, w2):
+        require_interior(w)
         if not is_transition_probability(w):
             raise NotTransitionProbability("inputs must have unit row sums")
     mu = perron(w1).left_vec
@@ -242,76 +243,23 @@ def induced_tensor_gram(gen: StandardConvexFunction, f: EdgeFunction) -> np.ndar
     return gram
 
 
-def _inertia_counter(r: float, w: np.ndarray, f: np.ndarray, dr: np.ndarray):
-    """t |-> #{eigenvalues of P^T W P at most t}, P = r I - f dr^T, in O(E) per call.
+def null_space_dimension(gen: StandardConvexFunction, f: EdgeFunction) -> int:
+    """Dimension of the kernel of the induced tensor at f: 1, the ray through f.
 
-    P^T W P = D + U S U^T with D = r^2 W, U = [a, dr], a = W f, c = f . W f and
-    S = [[0, -r], [-r, c]]. Haynsworth inertia additivity, applied to both
-    Schur complements of [[D - tI, U], [U^T, -S^-1]], gives
-        #{eig < t} = #{d_i < t} + #neg(T) - 1,  T = -S^-1 - U^T (D - tI)^-1 U,
-    where 1 counts the one positive eigenvalue of S (det S = -r^2 < 0).
-
-    T is summed from 1 / (d_i - t) = 1 / d_i + e_i. The 1 / d_i parts cancel
-    -S^-1 in closed form, except for the Euler residual (r - dr . f) / r^2 of
-    the 1-homogeneous root, so no cancellation is left to rounding when t is
-    small. The largest e_p, from the d_p nearest t, is kept out of the sums
-    and enters det T as a rank-1 update, so a t at or next to d_p loses no
-    digits either.
-    """
-    d = r**2 * w
-    a = w * f
-    aa, ag, gg = a * a, a * dr, dr * dr
-    euler = (r - float(dr @ f)) / r**2
-
-    def count(t):
-        # "at most t" is "below the next float"; D - tI must be invertible
-        t = np.nextafter(t, np.inf)
-        while np.any(d == t):
-            t = np.nextafter(t, np.inf)
-        inv = 1.0 / (d - t)
-        excess = t * inv / d  # e_i = 1 / (d_i - t) - 1 / d_i
-        p = int(np.argmax(np.abs(excess)))
-        pole = excess[p]
-        excess[p], inv[p] = 0.0, 1.0 / d[p]
-        # T = R - pole * u_p u_p^T, u_p = (a_p, dr_p)
-        r11 = -float(aa @ excess)
-        r12 = euler - float(ag @ excess)
-        r22 = -float(gg @ inv)
-        det = r11 * r22 - r12 * r12 - pole * (aa[p] * r22 - 2.0 * ag[p] * r12 + gg[p] * r11)
-        trace = r11 + r22 - pole * (aa[p] + gg[p])
-        if det < 0:
-            negative = 1
-        else:
-            negative = (2 if det > 0 else 1) if trace < 0 else 0
-        return int(np.count_nonzero(d < t)) + negative - 1
-
-    return count
-
-
-def null_space_dimension(gen: StandardConvexFunction, f: EdgeFunction, tol: float = 1e-9) -> int:
-    """Number of eigenvalues of the induced-tensor Gram matrix at most tol * lambda_max.
-
-    The Gram matrix is r^-4 P^T W P, so its eigenvalues are counted on
-    P^T W P by inertia (see _inertia_counter), without forming any E x E
-    array. lambda_max is the least t at which the count reaches E, found by
-    bisection between the largest diagonal entry and the trace, which bound it
-    for a positive-semidefinite matrix.
+    The Gram matrix is r^-4 P^T W P with W a positive diagonal and
+    P = r I - f grad_r^T, so its kernel is ker P: span{f} if Euler's identity
+    grad_r . f = r holds (P f = (r - grad_r . f) f), else {0}. The identity is
+    exact for the 1-homogeneous root and the stored Perron data certifies it:
+    grad_r . f = mu^T A v / (mu . v) averages the quotients (A v)_i / v_i with
+    weights mu_i v_i > 0, so it lies in their bracket, which holds r and has
+    relative width at most bracket_width. Rounding in sums of at most E positive
+    terms stays below 8 E eps relative, so a residual above
+    bracket_width + 8 E eps raises NoConvergence.
     """
     del gen
     sd = perron(f)
-    r = sd.root
-    w = _tensor_weights(f, sd)
-    dr = root_gradient(f)
-    count = _inertia_counter(r, w, f.values, dr)
-    a = w * f.values
-    diagonal = r**2 * w - 2.0 * r * a * dr + float(a @ f.values) * dr * dr
-    lo, hi = float(diagonal.max()), float(diagonal.sum())
-    while count(hi) < f.graph.num_edges:  # rounding can leave the trace below lambda_max
-        hi *= 2.0
-    while hi - lo > 1e-14 * hi:
-        mid = 0.5 * (lo + hi)
-        if count(mid) >= f.graph.num_edges:
-            hi = mid
-        else:
-            lo = mid
-    return count(tol * hi)
+    residual = abs(sd.root - float(root_gradient(f) @ f.values)) / sd.root
+    bound = sd.bracket_width + 8 * f.graph.num_edges * np.finfo(float).eps
+    if not residual <= bound:
+        raise NoConvergence(f"Euler residual {residual:.3g} exceeds its bound {bound:.3g}")
+    return 1

@@ -34,10 +34,11 @@ class ParseError(MarkovGeoError):
 
 
 class NoConvergence(MarkovGeoError):
-    """A numerical routine did not reach its tolerance: the eigensolver failed,
-    returned no strictly positive Perron vector, or left a Collatz-Wielandt
-    bracket wider than spectral.BRACKET_TOL after its Newton step (the Newton
-    solve itself may fail too); or project_to_M used up its iteration budget."""
+    """A numerical routine did not reach its tolerance: the eigensolver or its
+    Newton step failed, or left no strictly positive Perron vector or a
+    Collatz-Wielandt bracket wider than spectral.BRACKET_TOL; the Euler residual
+    of null_space_dimension exceeded its bound; or project_to_M used up its
+    iteration budget."""
 
 
 class NonpositiveScale(MarkovGeoError):

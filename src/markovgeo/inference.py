@@ -149,6 +149,8 @@ def empirical_pair_measure(trajectory: Trajectory) -> ExpectationPoint:
 def mle_transition(trajectory: Trajectory, smoothing: float = 0.0) -> EdgeFunction:
     """Row-normalized pair counts. Zero counts yield a boundary-flagged result
     unless additive smoothing is requested (smoothing added to every count)."""
+    if not 0.0 <= smoothing < np.inf:
+        raise ValueError(f"smoothing must be nonnegative and finite, got {smoothing}")
     graph = trajectory.graph
     counts = _pair_counts(trajectory) + smoothing
     row_sums = np.bincount(graph.sources, weights=counts, minlength=graph.num_states)

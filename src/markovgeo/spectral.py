@@ -82,7 +82,7 @@ class SpectralData:
         object.__setattr__(self, "right_vec", frozen_array(self.right_vec, float))
 
 
-def _require_interior(f: EdgeFunction):
+def require_interior(f: EdgeFunction):
     if f.boundary:
         raise BoundaryFunction("operation requires a strictly positive edge function")
 
@@ -161,7 +161,7 @@ def _dominant_eigenvector(matrix):
 
 def perron(f: EdgeFunction) -> SpectralData:
     """Perron-Frobenius root and positive eigenvectors of A(f), computed once per f."""
-    _require_interior(f)
+    require_interior(f)
     if f._spectral is None:
         a = matrix_of(f)
         root, right, right_width = _dominant_eigenvector(a)

@@ -19,7 +19,8 @@ from .coordinates import (
     taubar,
     tbar,
 )
-from .divergence import bregman_divergence, f_divergence, get_generator, induced_tensor_gram, nagaoka_divergence
+from .divergence import bregman_divergence, f_divergence, get_generator, induced_tensor_gram
+from .divergence import nagaoka_divergence, null_space_dimension
 from .graph import ChainGraph, build_graph
 from .potential import phibar, phibar_gradient, phibar_hessian
 from .spectral import EdgeFunction, perron, scale
@@ -145,6 +146,7 @@ def check_null_space(rng, cases, max_d):
     worst = 0.0
     for graph in _graph_cycle(max_d, cases, rng):
         f = random_edge_function(graph, rng)
+        worst = max(worst, abs(null_space_dimension(kl, f) - 1))
         gram = induced_tensor_gram(kl, f)
         eigenvalues, eigenvectors = np.linalg.eigh(gram)
         small = np.abs(eigenvalues) <= 1e-9 * eigenvalues.max()

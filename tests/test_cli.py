@@ -5,6 +5,7 @@ import pytest
 
 from markovgeo import inference, verify
 from markovgeo.cli import main
+from markovgeo.spectral import BRACKET_TOL
 
 
 @pytest.fixture
@@ -120,6 +121,13 @@ class TestDivergenceCommand:
         assert float(report["d_f"]) == pytest.approx(0.2990, abs=5e-5)
         assert float(report["nagaoka"]) == pytest.approx(float(report["d_f"]), abs=1e-12)
 
+    def test_reports_bracket_widths(self, capsys, skewed_f, skewed_w):
+        code, out, _ = run(capsys, "divergence", skewed_f, skewed_w)
+        assert code == 0
+        report = kv(out)
+        for key in ("bracket_width_f", "bracket_width_g"):
+            assert 0.0 <= float(report[key]) <= BRACKET_TOL
+
     def test_generator_selection(self, capsys, uniform_w, skewed_w):
         code, out, _ = run(capsys, "divergence", uniform_w, skewed_w, "--generator", "chi2")
         assert code == 0
@@ -217,6 +225,12 @@ class TestEstimateCommand:
         _, out1, _ = run(capsys, "estimate", skewed_w, "--n", "2000", "--seed", "8")
         _, out2, _ = run(capsys, "estimate", skewed_w, "--n", "2000", "--seed", "8")
         assert out1 == out2
+
+    @pytest.mark.parametrize("smoothing", ["-0.5", "nan", "inf"])
+    def test_bad_smoothing_is_usage_error(self, capsys, skewed_w, smoothing):
+        code, _, err = run(capsys, "estimate", skewed_w, "--n", "100", "--seed", "1", "--smoothing", smoothing)
+        assert code == 2
+        assert "smoothing" in err
 
     def test_non_stochastic_input(self, capsys, skewed_f):
         code, _, err = run(capsys, "estimate", skewed_f, "--n", "100", "--seed", "1")

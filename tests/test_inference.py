@@ -233,6 +233,12 @@ class TestMleTransition:
         assert np.all(est.values > 0)
         np.testing.assert_allclose(est.values, [1.5 / 3, 1.5 / 3, 1.5 / 2, 0.5 / 2])
 
+    @pytest.mark.parametrize("smoothing", [-0.5, -1e-300, np.nan, np.inf])
+    def test_smoothing_negative_or_not_finite_raises(self, two_state, smoothing):
+        t = Trajectory(two_state, [0, 0, 1, 0])
+        with pytest.raises(ValueError, match="smoothing"):
+            mle_transition(t, smoothing=smoothing)
+
     def test_unvisited_state(self, two_cycle):
         t = Trajectory(two_cycle, [0, 1])
         with pytest.raises(UnvisitedState):

@@ -3,7 +3,16 @@ import math
 import numpy as np
 import pytest
 
-from markovgeo import EdgeFunction, build_graph, matrix_of, perron, root_gradient, scale
+from markovgeo import (
+    EdgeFunction,
+    build_graph,
+    get_generator,
+    matrix_of,
+    null_space_dimension,
+    perron,
+    root_gradient,
+    scale,
+)
 from markovgeo.cli import EXIT_NOCONV, main
 from markovgeo.errors import BoundaryFunction, NoConvergence, NonpositiveScale
 from markovgeo import spectral
@@ -11,6 +20,8 @@ from markovgeo.spectral import BRACKET_TOL
 from markovgeo.verify import random_edge_function, random_graph, random_transition_probability
 
 from conftest import make_rng
+
+KL = get_generator("kl")
 
 
 class TestMatrixOf:
@@ -158,8 +169,11 @@ class TestHardInputs:
             try:
                 sd = perron(f)
             except NoConvergence:
+                with pytest.raises(NoConvergence):
+                    null_space_dimension(KL, f)
                 continue
             returned += 1
+            assert null_space_dimension(KL, f) == 1
             a = matrix_of(f)
             assert sd.bracket_width <= BRACKET_TOL
             assert np.max(np.abs(a @ sd.right_vec - sd.root * sd.right_vec)) <= 1e-9 * sd.root

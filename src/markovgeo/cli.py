@@ -188,6 +188,9 @@ def cmd_estimate(args) -> Report:
     if not mle.boundary:
         report.add("kl_truth_to_mle", divergence.f_divergence(kl, w, mle))
     report.add("kl_truth_to_projected", divergence.f_divergence(kl, w, projected_w))
+    # the solves behind the stationary start and the divergence above, as stored
+    report.add("bracket_width_truth", spectral.perron(w).bracket_width)
+    report.add("bracket_width_projected", spectral.perron(projected_w).bracket_width)
     report.add("status", "ok")
     return report
 

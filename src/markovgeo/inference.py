@@ -7,7 +7,7 @@ seeds as base_seed + replication_index.
 
 from __future__ import annotations
 
-from bisect import bisect_right
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -49,97 +49,195 @@ class Trajectory:
     """A state sequence whose consecutive pairs are all edges of the graph.
 
     The states are a read-only copy, so the checked invariant holds for good.
+    pair_counts[k] is how often edge k occurs as a consecutive pair, counted
+    once while the pairs are checked.
     """
 
     graph: ChainGraph
     states: np.ndarray
+    pair_counts: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        states = frozen_array(self.states, np.intp)
-        object.__setattr__(self, "states", states)
+        states = np.asarray(self.states)
         if states.ndim != 1 or states.size < 2:
             raise ValueError("a trajectory needs at least 2 states")
-        if states.min() < 0 or states.max() >= self.graph.num_states:
+        if states.dtype.kind not in "iu":
+            raise ValueError(f"trajectory states must be integers, got dtype {states.dtype}")
+        states = frozen_array(states, np.intp)
+        object.__setattr__(self, "states", states)
+        graph = self.graph
+        size = graph.num_states
+        if states.min() < 0 or states.max() >= size:
             raise ValueError("state index out of range")
-        adjacency = np.zeros((self.graph.num_states, self.graph.num_states), dtype=bool)
-        adjacency[self.graph.sources, self.graph.targets] = True
-        if not adjacency[states[:-1], states[1:]].all():
-            bad = int(np.flatnonzero(~adjacency[states[:-1], states[1:]])[0])
-            raise ValueError(f"consecutive pair at position {bad} is not an edge")
+        # a pair (x, y) is the cell x * size + y; counted a chunk at a time,
+        # so no n-length temporary is made
+        edge_cells = graph.sources * size + graph.targets
+        pair_counts = np.zeros(graph.num_edges, dtype=np.intp)
+        for lo in range(0, states.size - 1, _CHUNK):
+            hi = min(lo + _CHUNK, states.size - 1)
+            cells = states[lo:hi] * size
+            cells += states[lo + 1 : hi + 1]
+            counts = np.bincount(cells, minlength=size * size)[edge_cells]
+            if counts.sum() < hi - lo:
+                is_edge = np.zeros(size * size, dtype=bool)
+                is_edge[edge_cells] = True
+                bad = lo + int(np.flatnonzero(~is_edge[cells])[0])
+                raise ValueError(f"consecutive pair at position {bad} is not an edge")
+            pair_counts += counts
+        object.__setattr__(self, "pair_counts", frozen_array(pair_counts, np.intp))
 
     def __len__(self):
         return self.states.size
 
 
-# uniforms drawn per chunk, so the sampler holds no n-length array but its output
+# states per chunk, so neither the sampler nor the pair count holds an n-length
+# temporary besides the output
 _CHUNK = 1 << 16
+# blocks of a chunk walked side by side; a short chunk takes fewer blocks of
+# _MIN_BLOCK steps, since correcting a block has a fixed cost of a few steps
+_BLOCKS = 256
+_MIN_BLOCK = 32
+# cells of the exact grid over [0, 1)
+_CELLS = 1 << 12
 
 
 def sample_trajectory(w: EdgeFunction, n: int, seed: int, initial="stationary") -> Trajectory:
-    """Sample n states of the chain driven by the rows of w (PCG64 stream)."""
+    """Sample n states of the chain driven by the rows of w (PCG64 stream).
+
+    initial is "stationary" (drawn from the stream by the Perron left vector)
+    or an integer state.
+    """
     if not is_transition_probability(w):
         raise NotTransitionProbability("sampling requires unit row sums")
     if n < 2:
         raise ValueError("trajectory length must be at least 2")
     graph = w.graph
+    size = graph.num_states
     rng = np.random.Generator(np.random.PCG64(seed))
-    if initial == "stationary":
+    if isinstance(initial, str) and initial == "stationary":
         mu = perron(w).left_vec
-        state = int(rng.choice(graph.num_states, p=mu / mu.sum()))
+        state = int(rng.choice(size, p=mu / mu.sum()))
     else:
-        state = int(initial)
-        if not 0 <= state < graph.num_states:
+        try:
+            state = None if isinstance(initial, bool) else operator.index(initial)
+        except TypeError:
+            state = None
+        if state is None:
+            raise ValueError(f"initial state must be an integer or 'stationary', got {initial!r}")
+        if not 0 <= state < size:
             raise ValueError(f"initial state {state} out of range")
 
-    # A uniform u steps from x to successors[x][bisect_right(cumulative[x], u)].
-    # Every comparison in that search is constant between consecutive values
-    # of breaks, the union of all rows' breakpoints, so rows[x][j] = the search
-    # at the lower end of interval j gives the same successor, ties included.
-    # The interval above 1.0 is clamped to the last successor; no u reaches it.
-    start = np.searchsorted(graph.sources, np.arange(graph.num_states + 1))
-    cumulative = []
-    successors = []
-    for x in range(graph.num_states):
-        probs = np.cumsum(w.values[start[x] : start[x + 1]])
-        probs[-1] = 1.0
-        cumulative.append(probs.tolist())
-        successors.append(graph.targets[start[x] : start[x + 1]].tolist())
-    breaks = sorted(set().union(*cumulative))
-    lower_ends = [-1.0] + breaks
-    rows = [
-        [succ[min(bisect_right(cum, low), len(cum) - 1)] for low in lower_ends]
-        for cum, succ in zip(cumulative, successors)
-    ]
-    breaks = np.array(breaks)
-
+    breaks, flat = _interval_table(w)
+    grid = _interval_grid(breaks)
+    # indexing a memoryview gives Python ints without a list of (E + 1) * n of them
+    flat_ints = memoryview(flat)
     # each double takes one 64-bit PCG64 output, so chunked draws give the
     # same numbers as one rng.random(n - 1)
     states = np.empty(n, dtype=np.intp)
     states[0] = state
-    for start in range(1, n, _CHUNK):
-        stop = min(start + _CHUNK, n)
-        walk = []
-        append = walk.append
-        for j in np.searchsorted(breaks, rng.random(stop - start), side="right").tolist():
-            state = rows[state][j]
-            append(state)
-        states[start:stop] = walk
+    for lo in range(1, n, _CHUNK):
+        hi = min(lo + _CHUNK, n)
+        length = max(-(-(hi - lo) // _BLOCKS), _MIN_BLOCK)
+        blocks = -(-(hi - lo) // length)
+        # block b's steps are offsets[b * length : (b + 1) * length], padded with 0
+        offsets = np.zeros(blocks * length, dtype=np.intp)
+        offsets[: hi - lo] = _interval_index(rng.random(hi - lo), breaks, grid)
+        offsets *= size
+        # walk[t, b] is where block b stands after its step t, guessing that
+        # every block starts in state 0: one gather per step for all blocks
+        steps = offsets.reshape(blocks, length).T.copy()
+        walk = np.empty((length, blocks), dtype=np.intp)
+        cursor = np.empty(blocks, dtype=np.intp)
+        here = np.zeros(blocks, dtype=np.intp)
+        for t in range(length):
+            np.add(steps[t], here, out=cursor)
+            here = walk[t]
+            flat.take(cursor, out=here)
+        states[lo:hi] = walk.T.ravel()[: hi - lo]
+        # Blocks in order: from its true start, each block follows its own steps
+        # until it stands where the guess stands after the same step; from there
+        # both use the same intervals, so the rest of the guess is right
+        # (the coupling of Propp and Wilson, 1996).
+        for first in range(lo, hi, length):
+            last = min(first + length, hi)
+            if state != 0:
+                _follow(flat_ints, offsets[first - lo : last - lo], states[first:last], state)
+            state = int(states[last - 1])
     return Trajectory(graph, states)
 
 
-def _pair_counts(trajectory: Trajectory) -> np.ndarray:
-    graph = trajectory.graph
-    size = graph.num_states
-    cells = trajectory.states[:-1] * size
-    cells += trajectory.states[1:]
-    counts = np.bincount(cells, minlength=size * size)
-    return counts[graph.sources * size + graph.targets].astype(float)
+def _interval_table(w: EdgeFunction):
+    """The breakpoints of all rows of w, and flat[j * num_states + x], the
+    successor of x for every uniform in interval j of the breakpoints.
+
+    A uniform u steps from x to successors[x][bisect_right(cumulative[x], u)].
+    Every comparison in that search is constant between consecutive values of
+    breaks, the union of all rows' breakpoints, so the search at the lower end
+    of interval j gives the same successor, ties included. cumulative[x] is
+    nondecreasing up to its last entry 1.0, so for u < 1 the entries <= u come
+    first and every binary search agrees. The intervals from 1.0 up are clamped
+    to the last successor; no u reaches them.
+    """
+    graph = w.graph
+    start = np.searchsorted(graph.sources, np.arange(graph.num_states + 1))
+    cumulative = np.empty(graph.num_edges)
+    for x in range(graph.num_states):
+        row = cumulative[start[x] : start[x + 1]]
+        np.cumsum(w.values[start[x] : start[x + 1]], out=row)
+        row[-1] = 1.0
+    breaks = np.sort(cumulative)
+    breaks = breaks[np.concatenate(([True], breaks[1:] != breaks[:-1]))]
+    lower_ends = np.concatenate(([-1.0], breaks))
+    table = np.empty((lower_ends.size, graph.num_states), dtype=np.intp)
+    for x in range(graph.num_states):
+        found = np.searchsorted(cumulative[start[x] : start[x + 1]], lower_ends, side="right")
+        np.minimum(found, start[x + 1] - start[x] - 1, out=found)
+        table[:, x] = graph.targets[start[x] + found]
+    return breaks, table.ravel()
+
+
+def _interval_grid(breaks: np.ndarray) -> np.ndarray:
+    """grid[c] is the interval of breaks holding all of grid cell c, the u in
+    [c, c + 1) / _CELLS, or -1 where a breakpoint lies strictly inside it."""
+    cell_edges = np.arange(_CELLS + 1) / _CELLS
+    first = np.searchsorted(breaks, cell_edges[:-1], side="right")
+    inside = np.searchsorted(breaks, cell_edges[1:], side="left") - first
+    return np.where(inside == 0, first, -1)
+
+
+def _interval_index(uniforms: np.ndarray, breaks: np.ndarray, grid: np.ndarray) -> np.ndarray:
+    """np.searchsorted(breaks, uniforms, side="right") for uniforms in [0, 1).
+
+    uniforms * _CELLS is exact, so it picks each uniform's grid cell exactly;
+    only uniforms in cells that a breakpoint splits are searched.
+    """
+    index = grid[(uniforms * _CELLS).astype(np.intp)]
+    split = np.flatnonzero(index < 0)
+    index[split] = np.searchsorted(breaks, uniforms[split], side="right")
+    return index
+
+
+def _follow(flat_ints, steps, guess, state):
+    """Overwrite guess, a block's walk from state 0, with its walk from state
+    until the two meet. Pieces of doubling length keep the cost of reading
+    steps and guess near the number of steps followed; once met, a piece's
+    last states agree."""
+    t = 0
+    piece = 8
+    while t < steps.size:
+        end = min(t + piece, steps.size)
+        guessed = int(guess[end - 1])
+        guess[t:end] = [state := flat_ints[offset + state] for offset in steps[t:end].tolist()]
+        if state == guessed:
+            return
+        t = end
+        piece *= 2
 
 
 def empirical_pair_measure(trajectory: Trajectory) -> ExpectationPoint:
     """Pair frequencies normalized by n - 1; total mass 1 by construction."""
     graph = trajectory.graph
-    counts = _pair_counts(trajectory)
+    counts = trajectory.pair_counts
     if np.any(counts == 0):
         missing = [graph.edges[k] for k in np.flatnonzero(counts == 0)]
         raise UnobservedEdge(missing)
@@ -152,7 +250,7 @@ def mle_transition(trajectory: Trajectory, smoothing: float = 0.0) -> EdgeFuncti
     if not 0.0 <= smoothing < np.inf:
         raise ValueError(f"smoothing must be nonnegative and finite, got {smoothing}")
     graph = trajectory.graph
-    counts = _pair_counts(trajectory) + smoothing
+    counts = trajectory.pair_counts + smoothing
     row_sums = np.bincount(graph.sources, weights=counts, minlength=graph.num_states)
     if np.any(row_sums == 0):
         raise UnvisitedState(np.flatnonzero(row_sums == 0).tolist())

@@ -221,6 +221,13 @@ class TestEstimateCommand:
         assert float(report["projected_gap_to_truth"]) <= 0.02
         assert float(report["estimator_gap"]) <= 0.01
 
+    def test_reports_bracket_widths(self, capsys, skewed_w):
+        code, out, _ = run(capsys, "estimate", skewed_w, "--n", "2000", "--seed", "8")
+        assert code == 0
+        report = kv(out)
+        for key in ("bracket_width_truth", "bracket_width_projected"):
+            assert 0.0 <= float(report[key]) <= BRACKET_TOL
+
     def test_byte_stable(self, capsys, skewed_w):
         _, out1, _ = run(capsys, "estimate", skewed_w, "--n", "2000", "--seed", "8")
         _, out2, _ = run(capsys, "estimate", skewed_w, "--n", "2000", "--seed", "8")

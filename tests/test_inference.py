@@ -30,7 +30,6 @@ from markovgeo.errors import (
     UnvisitedState,
 )
 from markovgeo.coordinates import stationarity_gap
-from markovgeo.inference import _pair_counts
 from markovgeo.potential import phibar, phibar_gradient
 from markovgeo.verify import random_graph, random_transition_probability
 
@@ -61,6 +60,19 @@ class TestTrajectory:
         with pytest.raises(ValueError):
             Trajectory(two_cycle, [0, 1, 2])
 
+    @pytest.mark.parametrize("states", [[0.7, 1.9, 0.2], np.array([0.0, 1.0, 0.0]), [True, False, True]])
+    def test_rejects_non_integer_states(self, two_cycle, states):
+        with pytest.raises(ValueError, match="integers"):
+            Trajectory(two_cycle, states)
+
+    @pytest.mark.parametrize("position", [inference._CHUNK - 1, inference._CHUNK])
+    def test_non_edge_pair_at_a_chunk_boundary(self, two_cycle, position):
+        # alternation with one repeat: (states[position], states[position + 1]) is a self-loop
+        states = np.arange(inference._CHUNK + 5) % 2
+        states[position + 1 :] ^= 1
+        with pytest.raises(ValueError, match=f"position {position} is not an edge"):
+            Trajectory(two_cycle, states)
+
     def test_caller_array_is_copied(self, two_cycle):
         arr = np.array([0, 1, 0, 1, 0], dtype=np.intp)
         t = Trajectory(two_cycle, arr)
@@ -73,6 +85,12 @@ class TestTrajectory:
             t.states[1] = 0
         with pytest.raises(ValueError):
             sample_trajectory(EdgeFunction(two_cycle, np.ones(2)), 5, seed=0).states[1] = 0
+
+    def test_pair_counts_read_only(self, two_cycle):
+        t = Trajectory(two_cycle, [0, 1, 0, 1, 0])
+        np.testing.assert_array_equal(t.pair_counts, [2, 2])
+        with pytest.raises(ValueError):
+            t.pair_counts[0] = 5
 
 
 class TestSampleTrajectory:
@@ -96,6 +114,16 @@ class TestSampleTrajectory:
         t = sample_trajectory(w, 10**5, seed=2024)
         freq = np.bincount(t.states, minlength=2) / len(t)
         np.testing.assert_allclose(freq, [0.5, 0.5], atol=0.02)
+
+    @pytest.mark.parametrize("initial", [1.7, 1.0, True, np.True_, "1", None])
+    def test_rejects_non_integer_initial(self, skewed_w, initial):
+        with pytest.raises(ValueError, match="initial state must be an integer"):
+            sample_trajectory(skewed_w, 10, seed=0, initial=initial)
+
+    @pytest.mark.parametrize("initial", [-1, 2])
+    def test_rejects_initial_out_of_range(self, skewed_w, initial):
+        with pytest.raises(ValueError, match="out of range"):
+            sample_trajectory(skewed_w, 10, seed=0, initial=initial)
 
     def test_requires_transition_probability(self, two_state):
         f = EdgeFunction(two_state, np.ones(4))
@@ -170,15 +198,58 @@ class TestSamplerAgainstReference:
         np.testing.assert_array_equal(sample_trajectory(w, 2, seed=21, initial=0).states, [0, 1])
         assert_matches_reference(w, 1000, seed=21, initial=0)
 
-    @pytest.mark.parametrize("n", [2, 3, 2**16, 2**16 + 1, 2**16 + 2])
+    # n - 1 steps: one short of, at and one past the shortest block, 256
+    # shortest blocks, and a full chunk; then a second chunk of 1, 32 and 33 steps
+    @pytest.mark.parametrize(
+        "n", [2, 3, 32, 33, 34, 8192, 8193, 8194, 2**16, 2**16 + 1, 2**16 + 2, 2**16 + 33, 2**16 + 34]
+    )
     def test_lengths_around_the_chunk_size(self, n):
         w = _random_chain(make_rng(72), 3, self_loops=True)
         assert_matches_reference(w, n, seed=n)
+
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            [[0.25, 0.5, 0.25]] * 3,
+            [[1 / 4096, 2047 / 4096, 0.5], [0.5, 0.25, 0.25], [4093 / 4096, 1 / 4096, 2 / 4096]],
+        ],
+    )
+    def test_breakpoints_at_grid_cell_edges(self, rows):
+        graph = build_graph(3, [(x, y) for x in range(3) for y in range(3)])
+        w = EdgeFunction(graph, np.ravel(rows))
+        assert_matches_reference(w, 20_000, seed=17)
+
+    @pytest.mark.parametrize("initial", [1, "stationary"])
+    def test_deterministic_cycle_never_meets_the_guess(self, initial):
+        # from state s != 0 the walk of a cycle never meets the walk from 0
+        graph = build_graph(5, [(x, (x + 1) % 5) for x in range(5)])
+        assert_matches_reference(EdgeFunction(graph, np.ones(5)), 2**16 + 2, seed=4, initial=initial)
+
+    def test_sparse_ring_with_chords(self):
+        rng = make_rng(75)
+        num_states = 200
+        edges = {(x, (x + 1) % num_states) for x in range(num_states)}
+        edges |= {(x, int(y)) for x in range(num_states) for y in rng.choice(num_states, 2, replace=False)}
+        graph = build_graph(num_states, sorted(edges))
+        assert_matches_reference(random_transition_probability(graph, rng), 2**16 + 100, seed=6)
 
     def test_integer_initial(self):
         w = _random_chain(make_rng(73), 6, self_loops=False)
         for initial in range(6):
             assert_matches_reference(w, 3000, seed=9, initial=initial)
+
+
+def test_interval_index_matches_searchsorted():
+    cells = inference._CELLS
+    breaks = np.unique(np.concatenate([make_rng(76).random(300), np.arange(1, cells, 7) / cells, [1.0]]))
+    crafted = np.concatenate([breaks, np.arange(cells) / cells])
+    uniforms = np.concatenate([crafted, np.nextafter(crafted, 0.0), np.nextafter(crafted, 1.0)])
+    uniforms = uniforms[(uniforms >= 0.0) & (uniforms < 1.0)]
+    grid = inference._interval_grid(breaks)
+    assert np.any(grid < 0) and np.any(grid >= 0)
+    np.testing.assert_array_equal(
+        inference._interval_index(uniforms, breaks, grid), np.searchsorted(breaks, uniforms, side="right")
+    )
 
 
 class TestEmpiricalPairMeasure:
@@ -203,7 +274,7 @@ class TestEmpiricalPairMeasure:
         expected = np.zeros(graph.num_edges)
         edge_ids = [graph.edge_index[(x, y)] for x, y in zip(t.states[:-1].tolist(), t.states[1:].tolist())]
         np.add.at(expected, edge_ids, 1.0)
-        np.testing.assert_array_equal(_pair_counts(t), expected)
+        np.testing.assert_array_equal(t.pair_counts, expected)
 
     def test_unobserved_edge(self, two_state):
         t = Trajectory(two_state, [0, 1, 0, 1, 0])

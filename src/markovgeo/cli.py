@@ -140,7 +140,8 @@ def cmd_project(args) -> Report:
     report.add("iterations", trace.iterations)
     report.add("mass_residual", abs(coordinates.mass(projected) - 1.0))
     report.add("stationarity_residual", coordinates.stationarity_gap(projected))
-    # Pythagorean residual at the starting point of the projection itself
+    # D(projected || eta): the leg from the projection to the input in the
+    # Pythagorean identity checked below
     report.add("divergence_to_input", divergence.bregman_divergence(projected, eta))
     rng = np.random.Generator(np.random.PCG64(0))
     worst = 0.0

@@ -18,6 +18,7 @@ from .coordinates import (
     is_in_Mtilde,
     is_positive_transition_measure,
     is_transition_probability,
+    out_marginals,
     taubar,
     tbar,
 )
@@ -97,6 +98,8 @@ _CHUNK = 1 << 16
 # _MIN_BLOCK steps, since correcting a block has a fixed cost of a few steps
 _BLOCKS = 256
 _MIN_BLOCK = 32
+# steps every block takes side by side from its tentative start; at most _MIN_BLOCK
+_LEAD = 16
 # cells of the exact grid over [0, 1)
 _CELLS = 1 << 12
 
@@ -144,25 +147,40 @@ def sample_trajectory(w: EdgeFunction, n: int, seed: int, initial="stationary") 
         offsets[: hi - lo] = _interval_index(rng.random(hi - lo), breaks, grid)
         offsets *= size
         # walk[t, b] is where block b stands after its step t, guessing that
-        # every block starts in state 0: one gather per step for all blocks
+        # every block starts in state 0
         steps = offsets.reshape(blocks, length).T.copy()
         walk = np.empty((length, blocks), dtype=np.intp)
-        cursor = np.empty(blocks, dtype=np.intp)
-        here = np.zeros(blocks, dtype=np.intp)
-        for t in range(length):
-            np.add(steps[t], here, out=cursor)
-            here = walk[t]
-            flat.take(cursor, out=here)
+        _walk(flat, steps, np.zeros(blocks, dtype=np.intp), walk)
+        # Block b's tentative start is the guessed end of block b - 1; block 0
+        # starts at the carried state. From there every block takes its first
+        # _LEAD steps side by side, and meets the guess if it then stands
+        # where the guess stands. From a common state both use the same
+        # intervals, so the rest of the guess is right (the coupling of Propp
+        # and Wilson, 1996). A last block shorter than _LEAD may meet only in
+        # its padding, but then its lead walk holds all of its steps.
+        starts = np.empty(blocks, dtype=np.intp)
+        starts[0] = state
+        starts[1:] = walk[-1, :-1]
+        lead = np.empty((_LEAD, blocks), dtype=np.intp)
+        _walk(flat, steps, starts, lead)
+        meet = lead[-1] == walk[_LEAD - 1]
+        np.copyto(walk[:_LEAD], lead, where=meet)
         states[lo:hi] = walk.T.ravel()[: hi - lo]
-        # Blocks in order: from its true start, each block follows its own steps
-        # until it stands where the guess stands after the same step; from there
-        # both use the same intervals, so the rest of the guess is right
-        # (the coupling of Propp and Wilson, 1996).
-        for first in range(lo, hi, length):
+        # Blocks in order: one that met from its true start is right, and ends
+        # at the next block's tentative start. Each block that did not meet,
+        # and each later block whose start changed, follows its steps from its
+        # true start until it meets what is stored, which is one walk by the
+        # same steps: from state 0, or from its tentative start.
+        tentative = starts.tolist() + [None]
+        for b, met in enumerate(meet.tolist()):
+            if met and state == tentative[b]:
+                state = tentative[b + 1]
+                continue
+            first = lo + b * length
             last = min(first + length, hi)
-            if state != 0:
-                _follow(flat_ints, offsets[first - lo : last - lo], states[first:last], state)
+            _follow(flat_ints, offsets[first - lo : last - lo], states[first:last], state)
             state = int(states[last - 1])
+        state = int(states[hi - 1])
     return Trajectory(graph, states)
 
 
@@ -217,9 +235,19 @@ def _interval_index(uniforms: np.ndarray, breaks: np.ndarray, grid: np.ndarray) 
     return index
 
 
+def _walk(flat, steps, here, walk):
+    """walk[t] is where every block stands after its step t, from the states
+    here, with steps[t] its offsets into flat: one gather per step."""
+    cursor = np.empty_like(here)
+    for t in range(walk.shape[0]):
+        np.add(steps[t], here, out=cursor)
+        here = walk[t]
+        flat.take(cursor, out=here)
+
+
 def _follow(flat_ints, steps, guess, state):
-    """Overwrite guess, a block's walk from state 0, with its walk from state
-    until the two meet. Pieces of doubling length keep the cost of reading
+    """Overwrite guess, a block's walk by the same steps from another state,
+    with its walk from state until the two meet. Pieces of doubling length keep the cost of reading
     steps and guess near the number of steps followed; once met, a piece's
     last states agree."""
     t = 0
@@ -276,12 +304,6 @@ def _stationary_tangent_basis(graph: ChainGraph) -> np.ndarray:
     return vt[rank:].T
 
 
-def _uniform_stationary_point(graph: ChainGraph) -> ExpectationPoint:
-    """Interior point of M: image of the row-uniform transition probability."""
-    out_degree = np.bincount(graph.sources)
-    return tbar(EdgeFunction(graph, 1.0 / out_degree[graph.sources]))
-
-
 # project_to_M stops when the reduced gradient's norm falls below PROJECTION_TOL;
 # it runs at most GRADIENT_MAX_ITER gradient steps, then NEWTON_MAX_ITER Newton steps
 PROJECTION_TOL = 1e-9
@@ -295,6 +317,11 @@ def project_to_M(eta: ExpectationPoint, with_trace: bool = False):
     Projected gradient descent on the affine subspace of M with Armijo
     backtracking, then a damped Newton polish; coordinates are kept >= 1e-12
     by step clipping. NoConvergence if the polish ends above PROJECTION_TOL.
+
+    A point off M starts at the stationary pair measure of its row
+    normalization W(s, t) = eta_st / eta_s (its Doob point), which lies in M.
+    For an empirical pair measure, within O(1/n) of M, that start is next to
+    the projection.
     """
     if not is_in_Mtilde(eta):
         raise NotInMtilde("projection input must satisfy the normalization condition")
@@ -319,7 +346,7 @@ def project_to_M(eta: ExpectationPoint, with_trace: bool = False):
     if is_in_M(eta):
         current = eta.values.copy()
     else:
-        current = _uniform_stationary_point(graph).values
+        current = tbar(EdgeFunction(graph, eta.values / out_marginals(eta)[graph.sources])).values
     obj = objective(current)
     history = [obj]
     iterations = 0

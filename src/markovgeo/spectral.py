@@ -105,9 +105,12 @@ def matrix_of(f: EdgeFunction) -> np.ndarray:
 
 def _bracket_width(matrix, vec, root):
     """Relative width of [min (Av)_i / v_i, max (Av)_i / v_i], widened to hold
-    root; NoConvergence unless vec is strictly positive."""
+    root; NoConvergence unless vec and root are strictly positive (dividing
+    by a root <= 0 would give a width <= 0, which passes any tolerance)."""
     if not np.all(vec > 0):
         raise NoConvergence("dominant eigenvector is not strictly positive")
+    if not root > 0:
+        raise NoConvergence(f"dominant eigenvalue {root:g} is not positive")
     quotients = (matrix @ vec) / vec
     return (max(quotients.max(), root) - min(quotients.min(), root)) / root
 

@@ -225,6 +225,16 @@ class TestSamplerAgainstReference:
         graph = build_graph(5, [(x, (x + 1) % 5) for x in range(5)])
         assert_matches_reference(EdgeFunction(graph, np.ones(5)), 2**16 + 2, seed=4, initial=initial)
 
+    @pytest.mark.parametrize("chord", [1e-3, 0.05])
+    def test_blocks_after_a_miss_are_redone(self, chord):
+        # a 5-cycle whose state 0 skips to 2 with probability chord: walks from
+        # different states meet only through the chord, so most blocks miss
+        # the guess, while some meet it (those walked from state 0 always do)
+        # and must still be redone when a miss before them changed their start
+        graph = build_graph(5, sorted([(x, (x + 1) % 5) for x in range(5)] + [(0, 2)]))
+        values = [{(0, 1): 1.0 - chord, (0, 2): chord}.get(edge, 1.0) for edge in graph.edges]
+        assert_matches_reference(EdgeFunction(graph, np.array(values)), 2**16 + 34, seed=4, initial=1)
+
     def test_sparse_ring_with_chords(self):
         rng = make_rng(75)
         num_states = 200
@@ -428,6 +438,40 @@ class TestProjectToM:
         monkeypatch.setattr(inference, "NEWTON_MAX_ITER", 1)
         with pytest.raises(NoConvergence, match="did not reach gradient norm"):
             project_to_M(ExpectationPoint(two_state, np.array([0.3, 0.3, 0.2, 0.2])))
+
+    def test_empirical_measure_starts_next_to_its_projection(self):
+        # the Doob point of an empirical pair measure is within O(1/n) of M and
+        # next to the projection
+        rng = make_rng(93)
+        for num_states in range(3, 11):
+            w = _random_chain(rng, num_states, self_loops=bool(num_states % 2))
+            eta = empirical_pair_measure(sample_trajectory(w, 10**5, seed=int(rng.integers(2**63))))
+            projected, trace = project_to_M(eta, with_trace=True)
+            assert trace.iterations <= 2
+            assert stationarity_gap(projected) <= 1e-9
+
+    @pytest.mark.slow
+    def test_weak_transition_runs_the_gradient_budget_then_certifies(self):
+        # the stalling point of the benchmark's project workload: one
+        # transition of probability 1e-5 on a 16-state circulant graph of
+        # degree 3, under log-normal noise; the Armijo phase never reaches its
+        # polish threshold, and the Newton polish then converges in 4 steps
+        rng = np.random.default_rng(20231018)
+        n = 16
+        offsets = [1] + sorted(rng.choice(np.arange(2, n), size=2, replace=False).tolist())
+        graph = build_graph(n, sorted((x, (x + o) % n) for x in range(n) for o in offsets))
+        weights = rng.uniform(0.7, 1.0, graph.num_edges)
+        x = int(rng.integers(n))
+        weights[graph.edge_index[(x, (x + offsets[-1]) % n)]] = 1e-5
+        rows = np.bincount(graph.sources, weights=weights)
+        values = tbar(EdgeFunction(graph, weights / rows[graph.sources])).values
+        values = values * np.exp(0.3 * rng.standard_normal(graph.num_edges))
+        eta = ExpectationPoint(graph, values / values.sum())
+        projected, trace = project_to_M(eta, with_trace=True)
+        assert trace.iterations == inference.GRADIENT_MAX_ITER + 4
+        basis = inference._stationary_tangent_basis(graph)
+        assert np.linalg.norm(basis.T @ (phibar_gradient(projected) - phibar_gradient(eta))) < inference.PROJECTION_TOL
+        assert stationarity_gap(projected) <= 1e-9
 
     def test_estimators_converge_to_each_other(self, skewed_w):
         t = sample_trajectory(skewed_w, 10**5, seed=90)

@@ -225,6 +225,19 @@ class TestSolverFailure:
         with pytest.raises(NoConvergence):
             perron(EdgeFunction(two_state, np.ones(4)))
 
+    @pytest.mark.parametrize("root", [-1.0, 0.0, np.nan])
+    def test_bracket_of_nonpositive_root_is_no_convergence(self, root):
+        with pytest.raises(NoConvergence, match="not positive"):
+            spectral._bracket_width(np.array([[0.0, 1.0], [1.0, 0.0]]), np.array([0.5, 0.5]), root)
+
+    def test_negative_root_with_positive_vector_is_no_convergence(self, monkeypatch, two_state):
+        def negative_root_eig(matrix):
+            return np.array([-1.0, -3.0]), np.array([[1.0, 1.0], [1.0, -1.0]])
+
+        monkeypatch.setattr(np.linalg, "eig", negative_root_eig)
+        with pytest.raises(NoConvergence, match="not positive"):
+            perron(EdgeFunction(two_state, np.ones(4)))
+
     def test_cli_exit_code(self, monkeypatch, tmp_path, capsys):
         path = tmp_path / "f.chain"
         path.write_text("states 2\nedge 0 0 1\nedge 0 1 2\nedge 1 0 3\nedge 1 1 4\n")

@@ -53,8 +53,8 @@ class ExpectationPoint:
         object.__setattr__(self, "values", values)
         if values.shape != (self.graph.num_edges,):
             raise ValueError(f"expected {self.graph.num_edges} values, got shape {values.shape}")
-        # two reductions, false on NaN too: project_to_M builds hundreds of
-        # points per call, and np.any/np.all cost several times as much
+        # two reductions, false on NaN too, and several times cheaper than
+        # np.any/np.all; every step of project_to_M builds a point
         if not (values.min() > 0 and values.max() < np.inf):
             raise ValueError("expectation coordinates must be strictly positive and finite")
 

@@ -14,7 +14,6 @@ import numpy as np
 
 from .coordinates import (
     ExpectationPoint,
-    is_in_M,
     is_in_Mtilde,
     is_positive_transition_measure,
     is_transition_probability,
@@ -31,7 +30,7 @@ from .errors import (
     UnvisitedState,
 )
 from .graph import ChainGraph, frozen_array
-from .potential import phibar, phibar_gradient, phibar_hessian
+from .potential import phibar_gradient, phibar_hessian
 from .spectral import EdgeFunction, perron
 
 __all__ = [
@@ -289,7 +288,6 @@ def mle_transition(trajectory: Trajectory, smoothing: float = 0.0) -> EdgeFuncti
 @dataclass(frozen=True)
 class ProjectionTrace:
     iterations: int
-    objective_values: np.ndarray = field(repr=False)
 
 
 def _stationary_tangent_basis(graph: ChainGraph) -> np.ndarray:
@@ -304,97 +302,46 @@ def _stationary_tangent_basis(graph: ChainGraph) -> np.ndarray:
     return vt[rank:].T
 
 
-# project_to_M stops when the reduced gradient's norm falls below PROJECTION_TOL;
-# it runs at most GRADIENT_MAX_ITER gradient steps, then NEWTON_MAX_ITER Newton steps
+# project_to_M stops when the reduced gradient's norm falls below PROJECTION_TOL,
+# after at most NEWTON_MAX_ITER Newton steps
 PROJECTION_TOL = 1e-9
-GRADIENT_MAX_ITER = 10**5
 NEWTON_MAX_ITER = 100
 
 
 def project_to_M(eta: ExpectationPoint, with_trace: bool = False):
     """Bregman projection of eta onto M, minimizing the first argument.
 
-    Projected gradient descent on the affine subspace of M with Armijo
-    backtracking, then a damped Newton polish; coordinates are kept >= 1e-12
-    by step clipping. NoConvergence if the polish ends above PROJECTION_TOL.
-
-    A point off M starts at the stationary pair measure of its row
-    normalization W(s, t) = eta_st / eta_s (its Doob point), which lies in M.
-    For an empirical pair measure, within O(1/n) of M, that start is next to
-    the projection.
+    Newton's method on the affine subspace of M, where phibar is strictly
+    convex, from the stationary pair measure of eta's row normalization
+    W(s, t) = eta_st / eta_s (its Doob point), which lies in M. A point of M
+    is its own Doob point, and an empirical pair measure, within O(1/n) of M,
+    starts next to its projection. Steps are clipped so every coordinate stays
+    >= 1e-12. NoConvergence if NEWTON_MAX_ITER steps end above PROJECTION_TOL.
     """
     if not is_in_Mtilde(eta):
         raise NotInMtilde("projection input must satisfy the normalization condition")
     graph = eta.graph
     basis = _stationary_tangent_basis(graph)
     target_grad = phibar_gradient(eta)
-
-    def objective(values):
-        point = ExpectationPoint(graph, values)
-        return phibar(point) - float(target_grad @ values)
-
-    def reduced_gradient(values):
-        return basis.T @ (phibar_gradient(ExpectationPoint(graph, values)) - target_grad)
-
-    def step_cap(values, direction):
+    current = tbar(EdgeFunction(graph, eta.values / out_marginals(eta)[graph.sources])).values
+    for iterations in range(NEWTON_MAX_ITER + 1):
+        point = ExpectationPoint(graph, current)
+        grad = basis.T @ (phibar_gradient(point) - target_grad)
+        if float(np.linalg.norm(grad)) < PROJECTION_TOL:
+            break
+        if iterations == NEWTON_MAX_ITER:
+            raise NoConvergence(
+                f"projection did not reach gradient norm {PROJECTION_TOL:g} in {iterations} iterations"
+            )
+        hess = basis.T @ phibar_hessian(point) @ basis
+        direction = basis @ np.linalg.solve(hess, -grad)
         # clip so every coordinate stays >= 1e-12
         negative = direction < 0
-        if not negative.any():
-            return np.inf
-        return float(np.min((values[negative] - 1e-12) / -direction[negative]))
-
-    if is_in_M(eta):
-        current = eta.values.copy()
-    else:
-        current = tbar(EdgeFunction(graph, eta.values / out_marginals(eta)[graph.sources])).values
-    obj = objective(current)
-    history = [obj]
-    iterations = 0
-    converged = False
-    step = 1.0
-    # Armijo comparisons lose meaning once the certified decrease t*|g|^2 drops
-    # below float resolution of the objective; from there a damped Newton
-    # polish (below) carries the iterate to the gradient tolerance.
-    polish_at = max(PROJECTION_TOL, 1e-6)
-    for _ in range(GRADIENT_MAX_ITER):
-        grad = reduced_gradient(current)
-        grad_norm = float(np.linalg.norm(grad))
-        if grad_norm < polish_at:
-            break
-        direction = -(basis @ grad)
-        t = min(2.0 * step, step_cap(current, direction), 1.0e6)
-        descent = -(grad_norm**2)
-        while True:
-            candidate = current + t * direction
-            cand_obj = objective(candidate)
-            if cand_obj <= obj + 1e-4 * t * descent:
-                break
-            t *= 0.5
-            if t < 1e-18:
-                candidate = current + t * direction
-                cand_obj = objective(candidate)
-                break
-        step = t
-        current, obj = candidate, cand_obj
-        history.append(obj)
-        iterations += 1
-    for _ in range(NEWTON_MAX_ITER):
-        grad = reduced_gradient(current)
-        if float(np.linalg.norm(grad)) < PROJECTION_TOL:
-            converged = True
-            break
-        hess = basis.T @ phibar_hessian(ExpectationPoint(graph, current)) @ basis
-        direction = basis @ np.linalg.solve(hess, -grad)
-        t = min(1.0, 0.99 * step_cap(current, direction))
-        current = current + t * direction
-        history.append(objective(current))
-        iterations += 1
-    if not converged:
-        raise NoConvergence(f"projection did not reach gradient norm {PROJECTION_TOL:g} in {iterations} iterations")
-    result = ExpectationPoint(graph, current)
+        cap = np.min((current[negative] - 1e-12) / -direction[negative]) if negative.any() else np.inf
+        current = current + min(1.0, 0.99 * cap) * direction
     if with_trace:
-        return result, ProjectionTrace(iterations=iterations, objective_values=np.array(history))
-    return result
+        return point, ProjectionTrace(iterations=iterations)
+    return point
 
 
 def goodness_of_fit_statistic(

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from markovgeo import inference, verify
+from markovgeo import verify
 from markovgeo.cli import main
 from markovgeo.spectral import BRACKET_TOL
 
@@ -182,13 +182,12 @@ class TestProjectCommand:
         code, _, err = run(capsys, "project", path)
         assert code == 3
 
-    def test_budget_exhausted_exits_4(self, capsys, chain_file, monkeypatch):
-        monkeypatch.setattr(inference, "GRADIENT_MAX_ITER", 1)
-        monkeypatch.setattr(inference, "NEWTON_MAX_ITER", 1)
-        path = chain_file(
-            "skew_eta.chain",
-            "states 2\nmode expectation\nedge 0 0 0.3\nedge 0 1 0.3\nedge 1 0 0.2\nedge 1 1 0.2\n",
-        )
+    def test_budget_exhausted_exits_4(self, capsys, chain_file):
+        # eta = (0.01, 0.49, 0.00001, 0.48999) / 0.99: the exact projection has
+        # coordinates of 4.5e-46, below the 1e-12 clip
+        values = [v / 0.99 for v in (0.01, 0.49, 0.00001, 0.48999)]
+        edges = "".join(f"edge {s} {t} {v!r}\n" for (s, t), v in zip([(0, 0), (0, 1), (1, 0), (1, 1)], values))
+        path = chain_file("weak_eta.chain", "states 2\nmode expectation\n" + edges)
         code, _, err = run(capsys, "project", path)
         assert code == 4
         assert "projection did not reach gradient norm" in err

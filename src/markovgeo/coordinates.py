@@ -54,7 +54,7 @@ class ExpectationPoint:
         if values.shape != (self.graph.num_edges,):
             raise ValueError(f"expected {self.graph.num_edges} values, got shape {values.shape}")
         # two reductions, false on NaN too, and several times cheaper than
-        # np.any/np.all; every step of project_to_M builds a point
+        # np.any/np.all
         if not (values.min() > 0 and values.max() < np.inf):
             raise ValueError("expectation coordinates must be strictly positive and finite")
 

@@ -37,8 +37,8 @@ class NoConvergence(MarkovGeoError):
     """A numerical routine did not reach its tolerance: the eigensolver or its
     Newton step failed, or left no strictly positive Perron vector or a
     Collatz-Wielandt bracket wider than spectral.BRACKET_TOL; the Euler residual
-    of null_space_dimension exceeded its bound; or project_to_M's Newton
-    steps ran out before its reduced gradient reached PROJECTION_TOL."""
+    of null_space_dimension exceeded its bound; or project_to_M underflowed to
+    0 or left a reduced gradient not below PROJECTION_TOL."""
 
 
 class NonpositiveScale(MarkovGeoError):

@@ -14,12 +14,12 @@ import numpy as np
 
 from .coordinates import (
     ExpectationPoint,
+    in_marginals,
     is_in_Mtilde,
     is_positive_transition_measure,
     is_transition_probability,
     out_marginals,
     taubar,
-    tbar,
 )
 from .divergence import StandardConvexFunction, f_divergence
 from .errors import (
@@ -30,7 +30,7 @@ from .errors import (
     UnvisitedState,
 )
 from .graph import ChainGraph, frozen_array
-from .potential import phibar_gradient, phibar_hessian
+from .potential import phibar_gradient
 from .spectral import EdgeFunction, perron
 
 __all__ = [
@@ -302,45 +302,39 @@ def _stationary_tangent_basis(graph: ChainGraph) -> np.ndarray:
     return vt[rank:].T
 
 
-# project_to_M stops when the reduced gradient's norm falls below PROJECTION_TOL,
-# after at most NEWTON_MAX_ITER Newton steps
+# project_to_M raises unless the reduced gradient of its result is below PROJECTION_TOL
 PROJECTION_TOL = 1e-9
-NEWTON_MAX_ITER = 100
 
 
 def project_to_M(eta: ExpectationPoint, with_trace: bool = False):
     """Bregman projection of eta onto M, minimizing the first argument.
 
-    Newton's method on the affine subspace of M, where phibar is strictly
-    convex, from the stationary pair measure of eta's row normalization
-    W(s, t) = eta_st / eta_s (its Doob point), which lies in M. A point of M
-    is its own Doob point, and an empirical pair measure, within O(1/n) of M,
-    starts next to its projection. Steps are clipped so every coordinate stays
-    >= 1e-12. NoConvergence if NEWTON_MAX_ITER steps end above PROJECTION_TOL.
+    x_st is proportional to mu(s) G(s, t) v(t), with mu, v the Perron vectors of
+    G(s, t) = (eta_st / eta^s) e^{(c(s) + c(t)) / 2}, c = 1 - eta_t / eta^t: a
+    similar of exp(grad phibar(eta)), whose stochastic (Doob) rescaling is W_x.
+    NoConvergence if G or x underflows to 0, or if the reduced gradient of x is
+    not below PROJECTION_TOL. The trace reports 0 iterations.
     """
     if not is_in_Mtilde(eta):
         raise NotInMtilde("projection input must satisfy the normalization condition")
     graph = eta.graph
-    basis = _stationary_tangent_basis(graph)
-    target_grad = phibar_gradient(eta)
-    current = tbar(EdgeFunction(graph, eta.values / out_marginals(eta)[graph.sources])).values
-    for iterations in range(NEWTON_MAX_ITER + 1):
-        point = ExpectationPoint(graph, current)
-        grad = basis.T @ (phibar_gradient(point) - target_grad)
-        if float(np.linalg.norm(grad)) < PROJECTION_TOL:
-            break
-        if iterations == NEWTON_MAX_ITER:
-            raise NoConvergence(
-                f"projection did not reach gradient norm {PROJECTION_TOL:g} in {iterations} iterations"
-            )
-        hess = basis.T @ phibar_hessian(point) @ basis
-        direction = basis @ np.linalg.solve(hess, -grad)
-        # clip so every coordinate stays >= 1e-12
-        negative = direction < 0
-        cap = np.min((current[negative] - 1e-12) / -direction[negative]) if negative.any() else np.inf
-        current = current + min(1.0, 0.99 * cap) * direction
+    eta_in = in_marginals(eta)
+    half_c = 0.5 * (1.0 - out_marginals(eta) / eta_in)
+    weights = eta.values / eta_in[graph.sources] * np.exp(half_c[graph.sources] + half_c[graph.targets])
+    if not weights.min() > 0:
+        raise NoConvergence("projection's Perron matrix underflows to 0")
+    sd = perron(EdgeFunction(graph, weights))
+    values = sd.left_vec[graph.sources] * weights * sd.right_vec[graph.targets]
+    values /= values.sum()
+    if not values.min() > 0:
+        raise NoConvergence("projection has a coordinate that underflows to 0")
+    point = ExpectationPoint(graph, values)
+    grad = _stationary_tangent_basis(graph).T @ (phibar_gradient(point) - phibar_gradient(eta))
+    norm = float(np.linalg.norm(grad))
+    if not norm < PROJECTION_TOL:
+        raise NoConvergence(f"projection's reduced gradient norm {norm:.3g} is not below {PROJECTION_TOL:g}")
     if with_trace:
-        return point, ProjectionTrace(iterations=iterations)
+        return point, ProjectionTrace(iterations=0)
     return point
 
 

@@ -14,14 +14,17 @@ import numpy as np
 
 from .coordinates import (
     ExpectationPoint,
+    mass,
     normalize_to_measure,
     scale_point,
+    stationarity_gap,
     taubar,
     tbar,
 )
 from .divergence import bregman_divergence, f_divergence, get_generator, induced_tensor_gram
 from .divergence import nagaoka_divergence, null_space_dimension
 from .graph import ChainGraph, build_graph
+from .inference import project_to_M
 from .potential import phibar, phibar_gradient, phibar_hessian
 from .spectral import EdgeFunction, perron, scale
 
@@ -31,6 +34,7 @@ __all__ = [
     "random_edge_function",
     "random_transition_probability",
     "random_expectation_point",
+    "projection_residuals",
     "run_identity_suite",
     "IDENTITY_CHECKS",
 ]
@@ -210,6 +214,29 @@ def check_example_fixtures(rng, cases, max_d):
     return CheckResult("example_fixtures", worst, 1e-9, cases)
 
 
+def projection_residuals(eta: ExpectationPoint, projected: ExpectationPoint, rng: np.random.Generator):
+    """Mass and stationarity residuals of projected, the projection of eta onto M, and the
+    largest relative residual of D(w || eta) = D(w || projected) + D(projected || eta) over
+    5 witnesses w, the pair measures of transition probabilities drawn from rng."""
+    through = bregman_divergence(projected, eta)
+    worst = 0.0
+    for _ in range(5):
+        witness = tbar(random_transition_probability(eta.graph, rng))
+        total = bregman_divergence(witness, eta)
+        worst = max(worst, abs(total - (bregman_divergence(witness, projected) + through)) / max(total, 1e-300))
+    return abs(mass(projected) - 1.0), stationarity_gap(projected), worst
+
+
+def check_projection(rng, cases, max_d):
+    """The projection onto M has mass 1, is stationary and satisfies the Pythagorean identity."""
+    worst = 0.0
+    for graph in _graph_cycle(max_d, cases, rng):
+        eta = random_expectation_point(graph, rng)
+        eta = scale_point(eta, 1.0 / mass(eta))
+        worst = max(worst, *projection_residuals(eta, project_to_M(eta), rng))
+    return CheckResult("projection", worst, 1e-9, cases)
+
+
 IDENTITY_CHECKS = (
     check_scaling_law,
     check_chart_roundtrip,
@@ -219,6 +246,7 @@ IDENTITY_CHECKS = (
     check_potential_homogeneity,
     check_hessian,
     check_example_fixtures,
+    check_projection,
 )
 
 

@@ -160,7 +160,6 @@ class TestProjectCommand:
         code, out, _ = run(capsys, "project", uniform_eta)
         assert code == 0
         report = kv(out)
-        assert int(report["iterations"]) == 0
         assert float(report["pythagorean_residual"]) <= 1e-6
 
     def test_skew_fixture(self, capsys, chain_file):
@@ -183,14 +182,15 @@ class TestProjectCommand:
         assert code == 3
 
     def test_budget_exhausted_exits_4(self, capsys, chain_file):
-        # eta = (0.01, 0.49, 0.00001, 0.48999) / 0.99: the exact projection has
-        # coordinates of 4.5e-46, below the 1e-12 clip
-        values = [v / 0.99 for v in (0.01, 0.49, 0.00001, 0.48999)]
-        edges = "".join(f"edge {s} {t} {v!r}\n" for (s, t), v in zip([(0, 0), (0, 1), (1, 0), (1, 1)], values))
-        path = chain_file("weak_eta.chain", "states 2\nmode expectation\n" + edges)
-        code, _, err = run(capsys, "project", path)
-        assert code == 4
-        assert "projection did not reach gradient norm" in err
+        # the exact projections have coordinates of 1.8e-4348 and 6.8e-351,
+        # below the smallest double: the Perron matrix or the result underflows
+        for point in ((1e-4, 0.5, 1e-9, 0.499899), (1e-3, 0.4, 1e-6, 0.599)):
+            values = [v / sum(point) for v in point]
+            edges = "".join(f"edge {s} {t} {v!r}\n" for (s, t), v in zip([(0, 0), (0, 1), (1, 0), (1, 1)], values))
+            path = chain_file("weak_eta.chain", "states 2\nmode expectation\n" + edges)
+            code, _, err = run(capsys, "project", path)
+            assert code == 4
+            assert "underflows to 0" in err
 
 
 class TestSampleCommand:
@@ -266,6 +266,24 @@ class TestVerifyCommand:
         report = kv(out)
         assert report["hessian_pass"] == "no"
         assert report["status"] == "verification_failed"
+
+    def test_suboptimal_projection_fails(self, capsys, monkeypatch):
+        # negative control: a point of M other than the projection has mass 1
+        # and is stationary, but breaks the Pythagorean identity
+        project = verify.project_to_M
+
+        def off_optimum(eta):
+            graph = eta.graph
+            degree = np.bincount(graph.sources)
+            uniform = verify.tbar(verify.EdgeFunction(graph, 1.0 / degree[graph.sources]))
+            return verify.ExpectationPoint(graph, 0.9 * project(eta).values + 0.1 * uniform.values)
+
+        monkeypatch.setattr(verify, "project_to_M", off_optimum)
+        code, out, _ = run(capsys, "verify", "--seed", "5", "--cases", "5")
+        assert code == 5
+        report = kv(out)
+        assert report["projection_pass"] == "no"
+        assert int(report["failed"]) == 1
 
 
 class TestOutputFormat:
